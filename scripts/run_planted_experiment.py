@@ -100,7 +100,7 @@ def main() -> None:
         print(
             f"[{name:>10}] built in {time.time() - started:5.1f}s wall, "
             f"consumed {result.ledger.total:9.0f} virtual s "
-            f"(plan {result.ledger.snapshot()['n_runs']} runs)",
+            f"in {result.ledger.n_runs} ledger charges",
             file=sys.stderr,
         )
 

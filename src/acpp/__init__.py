@@ -44,7 +44,7 @@ from .evaluation import (
     test_portfolio,
 )
 from .perfmodel import ForestParams, PerformanceModel, fit_model
-from .rundata import RunDataStore, record_run
+from .rundata import RunDataStore
 from .runner import BudgetLedger, ExternalBackend, evaluate_portfolio, execute_run
 from .scenario import ScenarioBundle, load_scenario
 from .space import (

@@ -4,10 +4,12 @@ The engine interleaves one random challenger with one model-greedy
 challenger (picked from a pool of random candidates scored by the forest),
 races each challenger against the incumbent on a growing, seeded-shuffle
 instance schedule with early elimination, and caps challenger runs at a
-multiple of the incumbent's time on the same instance. The incumbent is
-replaced only when the challenger is strictly better on every instance the
-incumbent has been measured on, so incumbent estimates never get worse at a
-handover.
+multiple of the incumbent's time on the same instance. A challenger is
+eliminated as soon as its mean score over the instances raced so far is
+above the incumbent's mean over the same instances; it replaces the
+incumbent only when it has run on every instance the incumbent has been
+measured on and its mean score over them is strictly lower, so the
+incumbent's mean estimate never gets worse at a handover.
 
 All runs go through an evaluator that appends to the shared rundata store
 and charges the ledger; the model is fit on this call's own runs, which

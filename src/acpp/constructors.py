@@ -1,12 +1,26 @@
-"""The five portfolio constructors, budget planning, and validation-based
+"""Budget planning, the two construction algorithms, and validation-based
 selection of the final portfolio.
 
-All constructors follow the same outer scheme: ``r`` independent
-construction repetitions produce candidate portfolios, and the candidate
-with the best training-set validation score wins. Repetitions and the
-per-subset configuration calls inside one repetition run concurrently on
-threads only when the backend runs solvers as child processes; with an
-in-process backend they run in order on the calling thread. Results are
+The five methods are two algorithms:
+
+* the grouped constructor (``construct_grouped``) splits the training
+  instances into k subsets and configures one component per subset. The
+  methods differ in the initial grouping and the number of phases: pcrs
+  runs one phase on a random even split, pcit runs n phases on the same
+  split with instance transfer after every phase but the last, and
+  clustering runs one phase on a k-means grouping of the instance
+  features;
+* the greedy block constructor (``construct_parhydra``) configures b
+  components at a time over a b-fold product space, each block extending
+  the portfolio selected so far. Global is its b = k case: one iteration
+  that configures the whole portfolio at once.
+
+Both run ``r`` independent repetitions that produce candidate portfolios
+(per iteration, for the block constructor), and the candidate with the
+best training-set validation score wins. Repetitions and the per-subset
+configuration calls inside one repetition run concurrently on threads only
+when the backend runs solvers as child processes; with an in-process
+backend they run in order on the calling thread. Results are
 schedule-independent because every configuration call owns its seeds and
 the shared stores are order-invariant.
 """
@@ -32,6 +46,7 @@ from .core import (
     RunRecord,
     RunStatus,
     Scenario,
+    clamp_run,
     penalized_score,
     portfolio_runtime,
     split_random_even,
@@ -66,7 +81,7 @@ class BudgetPlan:
     ``phase_budgets`` are the per-subset configuration budgets of the
     successive phases (one entry for single-phase methods). For the greedy
     block constructor, ``t_c``/``t_v`` are the per-iteration budgets and
-    ``iterations`` = k / b.
+    ``iterations`` = k / b; the global plan has b = k and one iteration.
     """
 
     method: str
@@ -96,14 +111,16 @@ def plan_budget(
     spends ``t_c / (2(n-1))`` per subset in each adjustment phase and
     ``t_c / 2`` in the final construction phase, so phases sum to ``t_c``.
     The block-greedy method costs ``r * sum_i i*b*(t_c + t_v)`` over its
-    k/b iterations.
+    k/b iterations. Global is the block plan with b = k, which costs
+    ``r * k * (t_c + t_v)`` as well; its ``b`` argument is ignored.
     """
     method = method.lower()
     if method not in ALL_METHODS:
         raise ValueError(f"unknown method {method!r}")
     if k < 1 or r < 1 or t_c <= 0 or t_v < 0:
         raise ValueError("k, r must be >= 1 and budgets positive")
-    if method == "pcit":
+    if method in ("pcit", "pcrs", "clustering"):
+        n = n if method == "pcit" else 1
         if n < 1:
             raise ValueError("phase count must be >= 1")
         if n == 1:
@@ -114,12 +131,9 @@ def plan_budget(
             method, k, t_c, t_v, r, n=n, phase_budgets=phases,
             total_cpu=r * k * (t_c + t_v),
         )
-    if method in ("pcrs", "global", "clustering"):
-        return BudgetPlan(
-            method, k, t_c, t_v, r, n=1, phase_budgets=(t_c,),
-            total_cpu=r * k * (t_c + t_v),
-        )
     # block-greedy construction
+    if method == "global":
+        b = k
     if b < 1 or k % b != 0:
         raise ValueError(f"block size {b} must divide k={k}")
     iterations = k // b
@@ -205,64 +219,6 @@ class ConstructionResult:
         return self.groupings[self.selected_index]
 
 
-def _finalize(
-    scenario: Scenario,
-    plan: BudgetPlan,
-    seed: int,
-    backend: Backend,
-    ledger: BudgetLedger,
-    events: list[dict],
-    rep_outputs: list,
-    rep_seeds: list[int],
-) -> ConstructionResult:
-    ok = [(i, out) for i, out in enumerate(rep_outputs) if not isinstance(out, Exception)]
-    for i, out in enumerate(rep_outputs):
-        if isinstance(out, Exception):
-            logger.warning("construction repetition %d failed and is excluded: %s", i, out)
-            events.append({"event": "repetition_failed", "repetition": i, "error": str(out)})
-    if not ok:
-        raise RuntimeError("every construction repetition failed")
-    candidates = tuple(tuple(out[0]) for _, out in ok)
-    groupings = tuple(out[1] for _, out in ok)
-    reports = tuple(tuple(out[2]) for _, out in ok)
-    stores = tuple(out[3] for _, out in ok)
-    outcome = validate_and_select(
-        candidates,
-        scenario.train_instances,
-        plan.t_v,
-        scenario.cutoff,
-        scenario.metric.penalty,
-        derive_seed(seed, "validation"),
-        backend,
-        ledger,
-    )
-    events.append(
-        {
-            "event": "validation",
-            "scores": list(outcome.scores),
-            "selected": outcome.best_index,
-            "n_instances": outcome.n_scored_instances,
-        }
-    )
-    portfolio = Portfolio(
-        components=candidates[outcome.best_index],
-        method_label=plan.method,
-        seeds=tuple(rep_seeds),
-        consumed_cpu_time=ledger.total,
-    )
-    return ConstructionResult(
-        portfolio=portfolio,
-        candidates=candidates,
-        selected_index=outcome.best_index,
-        validation_scores=outcome.scores,
-        groupings=groupings,
-        transfer_reports=reports,
-        ledger=ledger,
-        events=events,
-        stores=stores,
-    )
-
-
 def _map_calls(
     fn: Callable[[int], object],
     n: int,
@@ -297,28 +253,43 @@ def _map_calls(
         return list(pool.map(call, range(n)))
 
 
-def construct_pcit(
+def _exclude_failed(outputs: list, events: list[dict]) -> list:
+    """The outputs of the repetitions that did not raise.
+
+    A repetition that raised is logged, recorded in ``events`` and left
+    out; if every repetition raised, the construction fails.
+    """
+    for rep, out in enumerate(outputs):
+        if isinstance(out, Exception):
+            logger.warning("construction repetition %d failed and is excluded: %s", rep, out)
+            events.append({"event": "repetition_failed", "repetition": rep, "error": str(out)})
+    ok = [out for out in outputs if not isinstance(out, Exception)]
+    if not ok:
+        raise RuntimeError("every construction repetition failed")
+    return ok
+
+
+def construct_grouped(
     scenario: Scenario,
     plan: BudgetPlan,
     seed: int,
     backend: Backend,
+    initial_grouping: Callable[[int], InstanceGrouping],
+    events: list[dict],
     *,
     settings: ConfiguratorSettings | None = None,
     transfer_forest: ForestParams | None = None,
     cores: int | None = None,
 ) -> ConstructionResult:
-    """Phased construction with instance transfer between phases.
+    """One component per instance subset, configured in phases.
 
-    Each repetition starts from a fresh random even split; every phase
-    configures all subsets (warm-started from the previous phase), and the
-    grouping is adjusted after every phase but the last.
-    A plan with a single phase performs no transfers, which is exactly the
-    random-splitting baseline.
+    Each repetition starts from ``initial_grouping(repetition_seed)``; every
+    phase of ``plan.phase_budgets`` configures all subsets (warm-started
+    from the previous phase), and the grouping is adjusted by instance
+    transfer after every phase but the last. Construction events are
+    appended to ``events``.
     """
-    if plan.method not in ("pcit", "pcrs"):
-        raise ValueError(f"plan is for method {plan.method!r}")
     ledger = BudgetLedger()
-    events: list[dict] = []
     train_by_id = {ins.id: ins for ins in scenario.train_instances}
     features = scenario.train_features()
     rep_seeds = [derive_seed(seed, "rep", rep) for rep in range(plan.r)]
@@ -326,10 +297,9 @@ def construct_pcit(
     def one_rep(rep: int):
         rep_seed = rep_seeds[rep]
         store = RunDataStore()
-        grouping = split_random_even(scenario.train_instances, scenario.k, rep_seed)
+        grouping = initial_grouping(rep_seed)
         incumbents: list[Configuration | None] = [None] * scenario.k
         reports: list[TransferReport] = []
-        n_phases = len(plan.phase_budgets)
         for phase_idx, phase_budget in enumerate(plan.phase_budgets, start=1):
 
             def conf_subset(j: int) -> Configuration:
@@ -361,7 +331,7 @@ def construct_pcit(
                     "ledger": ledger.snapshot(),
                 }
             )
-            if phase_idx < n_phases:
+            if phase_idx < len(plan.phase_budgets):
                 grouping, report = transfer_instances(
                     grouping,
                     incumbents,
@@ -377,165 +347,77 @@ def construct_pcit(
                 events.append(
                     {"event": "transfer", "repetition": rep, "phase": phase_idx, **report.to_dict()}
                 )
-        return incumbents, grouping, reports, store
+        return tuple(incumbents), grouping, tuple(reports), store
 
-    outputs = _map_calls(one_rep, plan.r, backend, cores, keep_errors=True)
-    return _finalize(scenario, plan, seed, backend, ledger, events, outputs, rep_seeds)
-
-
-def construct_pcrs(
-    scenario: Scenario,
-    plan: BudgetPlan,
-    seed: int,
-    backend: Backend,
-    *,
-    settings: ConfiguratorSettings | None = None,
-    cores: int | None = None,
-) -> ConstructionResult:
-    """Parallel configuration on the initial random grouping, no transfers."""
-    if plan.method != "pcrs":
-        raise ValueError(f"plan is for method {plan.method!r}")
-    return construct_pcit(scenario, plan, seed, backend, settings=settings, cores=cores)
-
-
-class PortfolioEvaluator:
-    """Adapter letting the configurator search a product space whose points
-    are whole portfolios (optionally extending a fixed prefix of components).
-
-    The record appended to the store is the portfolio-level outcome (first
-    solver's time); the ledger receives every component's time; the budget
-    cost handed back to the configurator is the component-time sum divided
-    by the portfolio width, i.e. per-core time. On a cache hit the prefix is
-    charged as one block of ``prefix_width * min(prefix_time, cap)``.
-    """
-
-    def __init__(
-        self,
-        base_space,
-        block_size: int,
-        backend: Backend,
-        store: RunDataStore,
-        ledger: BudgetLedger | None = None,
-        prefix: tuple[Configuration, ...] = (),
-        prefix_cache: dict[str, tuple[RunStatus, float]] | None = None,
-        scenario_cutoff: float | None = None,
-    ):
-        self.base_space = base_space
-        self.block_size = block_size
-        self.backend = backend
-        self.store = store
-        self.ledger = ledger
-        self.prefix = prefix
-        self.prefix_cache = prefix_cache if prefix_cache is not None else {}
-        self.scenario_cutoff = scenario_cutoff
-
-    @property
-    def width(self) -> int:
-        return len(self.prefix) + self.block_size
-
-    def _prefix_outcome(self, instance: Instance, seed: int) -> tuple[tuple[RunStatus, float], float]:
-        """Prefix-portfolio result on the instance plus the fresh cost paid."""
-        cached = self.prefix_cache.get(instance.id)
-        if cached is not None:
-            return cached, 0.0
-        cutoff = self.scenario_cutoff
-        outcomes = []
-        cost = 0.0
-        for comp in self.prefix:
-            status, runtime = self.backend.run(comp, instance, cutoff, seed)
-            runtime = cutoff if status is RunStatus.TIMEOUT else min(runtime, cutoff)
-            outcomes.append((status, runtime))
-            cost += runtime
-        combined = portfolio_runtime(outcomes, cutoff)
-        result = (combined.status, combined.runtime)
-        self.prefix_cache[instance.id] = result
-        return result, cost
-
-    def run(
-        self, config: Configuration, instance: Instance, cutoff: float, seed: int
-    ) -> tuple[RunRecord, float]:
-        block = decode_product_config(self.base_space, config, self.block_size)
-        outcomes: list[tuple[RunStatus, float]] = []
-        cpu = 0.0
-        if self.prefix:
-            (status, runtime), fresh_cost = self._prefix_outcome(instance, seed)
-            if status is RunStatus.SOLVED and runtime < cutoff:
-                outcomes.append((status, runtime))
-            else:
-                outcomes.append((RunStatus.TIMEOUT, cutoff))
-            cpu += fresh_cost if fresh_cost > 0 else len(self.prefix) * min(runtime, cutoff)
-        for comp in block:
-            status, runtime = self.backend.run(comp, instance, cutoff, seed)
-            runtime = cutoff if status is RunStatus.TIMEOUT else min(runtime, cutoff)
-            outcomes.append((status, runtime))
-            cpu += runtime
-        combined = portfolio_runtime(outcomes, cutoff)
-        record = RunRecord(
-            config_id=config.config_id,
-            instance_id=instance.id,
-            seed=seed,
-            status=combined.status,
-            runtime=combined.runtime,
-            cutoff=cutoff,
-            backend_label=f"{self.backend.label}:portfolio",
-        )
-        self.store.add(record, config)
-        if self.ledger is not None:
-            self.ledger.charge(cpu, kind="configuration")
-        return record, cpu / self.width
-
-
-def construct_global(
-    scenario: Scenario,
-    plan: BudgetPlan,
-    seed: int,
-    backend: Backend,
-    *,
-    settings: ConfiguratorSettings | None = None,
-    cores: int | None = None,
-) -> ConstructionResult:
-    """Configure the whole portfolio at once over the k-fold product space."""
-    if plan.method != "global":
-        raise ValueError(f"plan is for method {plan.method!r}")
-    ledger = BudgetLedger()
-    events: list[dict] = []
-    product_space = compose_product_space(scenario.space, scenario.k)
-    initial = make_product_config(
-        product_space, [default_config(scenario.space)] * scenario.k
+    outputs = _exclude_failed(
+        _map_calls(one_rep, plan.r, backend, cores, keep_errors=True), events
     )
-    rep_seeds = [derive_seed(seed, "rep", rep) for rep in range(plan.r)]
+    candidates, groupings, reports, stores = (tuple(column) for column in zip(*outputs))
+    outcome = validate_and_select(
+        candidates,
+        scenario.train_instances,
+        plan.t_v,
+        scenario.cutoff,
+        scenario.metric.penalty,
+        derive_seed(seed, "validation"),
+        backend,
+        ledger,
+    )
+    events.append(
+        {
+            "event": "validation",
+            "scores": list(outcome.scores),
+            "selected": outcome.best_index,
+            "n_instances": outcome.n_scored_instances,
+        }
+    )
+    return ConstructionResult(
+        portfolio=Portfolio(
+            components=candidates[outcome.best_index],
+            method_label=plan.method,
+            seeds=tuple(rep_seeds),
+            consumed_cpu_time=ledger.total,
+        ),
+        candidates=candidates,
+        selected_index=outcome.best_index,
+        validation_scores=outcome.scores,
+        groupings=groupings,
+        transfer_reports=reports,
+        ledger=ledger,
+        events=events,
+        stores=stores,
+    )
 
-    def one_rep(rep: int):
-        store = RunDataStore()
-        evaluator = PortfolioEvaluator(
-            scenario.space,
-            scenario.k,
-            backend,
-            store,
-            ledger,
-            scenario_cutoff=scenario.cutoff,
-        )
-        winner = configure(
-            product_space,
-            scenario.train_instances,
-            scenario.cutoff,
-            plan.t_c,
-            scenario.metric,
-            store,
-            rep_seeds[rep],
-            initial_incumbent=initial,
-            evaluator=evaluator,
-            settings=settings,
-        )
-        components = decode_product_config(scenario.space, winner, scenario.k)
-        events.append(
-            {"event": "repetition_done", "repetition": rep,
-             "incumbents": [c.config_id for c in components]}
-        )
-        return list(components), None, [], store
 
-    outputs = _map_calls(one_rep, plan.r, backend, cores, keep_errors=True)
-    return _finalize(scenario, plan, seed, backend, ledger, events, outputs, rep_seeds)
+def construct_pcit(
+    scenario: Scenario,
+    plan: BudgetPlan,
+    seed: int,
+    backend: Backend,
+    *,
+    settings: ConfiguratorSettings | None = None,
+    transfer_forest: ForestParams | None = None,
+    cores: int | None = None,
+) -> ConstructionResult:
+    """The grouped constructor on a fresh random even split per repetition.
+
+    A pcit plan has n phases with transfers between them; a pcrs plan has
+    one phase and so performs no transfers, which is exactly the
+    random-splitting baseline.
+    """
+    if plan.method not in ("pcit", "pcrs"):
+        raise ValueError(f"plan is for method {plan.method!r}")
+
+    def random_split(rep_seed: int) -> InstanceGrouping:
+        return split_random_even(scenario.train_instances, scenario.k, rep_seed)
+
+    return construct_grouped(
+        scenario, plan, seed, backend, random_split, [],
+        settings=settings, transfer_forest=transfer_forest, cores=cores,
+    )
+
+
+construct_pcrs = construct_pcit
 
 
 # ---------------------------------------------------------------------------
@@ -614,14 +496,12 @@ def construct_clustering(
     settings: ConfiguratorSettings | None = None,
     cores: int | None = None,
 ) -> ConstructionResult:
-    """Cluster instances in feature space once, then configure one component
-    per cluster."""
+    """Cluster instances in feature space once, then run the grouped
+    constructor on that grouping in every repetition."""
     if plan.method != "clustering":
         raise ValueError(f"plan is for method {plan.method!r}")
     if scenario.feature_dimension == 0:
         raise ValueError("clustering needs instance features")
-    ledger = BudgetLedger()
-    events: list[dict] = []
     train = scenario.train_instances
     X = normalize_features(np.array([ins.features for ins in train]), normalization)
     labels, _, _ = kmeans(X, scenario.k, derive_seed(seed, "kmeans"))
@@ -630,37 +510,103 @@ def construct_clustering(
         for j in range(scenario.k)
     ]
     grouping = InstanceGrouping(tuple(subsets), 1, len(train))
-    events.append(
+    events = [
         {"event": "clustering", "normalization": normalization,
          "cluster_sizes": list(grouping.sizes())}
+    ]
+    return construct_grouped(
+        scenario, plan, seed, backend, lambda _rep_seed: grouping, events,
+        settings=settings, cores=cores,
     )
-    train_by_id = {ins.id: ins for ins in train}
-    rep_seeds = [derive_seed(seed, "rep", rep) for rep in range(plan.r)]
 
-    def one_rep(rep: int):
-        store = RunDataStore()
 
-        def conf_cluster(j: int) -> Configuration:
-            cluster = [train_by_id[i] for i in grouping.subsets[j]]
-            return configure(
-                scenario.space,
-                cluster,
-                scenario.cutoff,
-                plan.t_c,
-                scenario.metric,
-                store,
-                derive_seed(rep_seeds[rep], "configure", j),
-                backend=backend,
-                ledger=ledger,
-                subset_index=j,
-                settings=settings,
-            )
+# ---------------------------------------------------------------------------
+# greedy block construction
 
-        incumbents = _map_calls(conf_cluster, scenario.k, backend, cores)
-        return incumbents, grouping, [], store
 
-    outputs = _map_calls(one_rep, plan.r, backend, cores, keep_errors=True)
-    return _finalize(scenario, plan, seed, backend, ledger, events, outputs, rep_seeds)
+class PortfolioEvaluator:
+    """Adapter letting the configurator search a product space whose points
+    are whole portfolios (optionally extending a fixed prefix of components).
+
+    The record appended to the store is the portfolio-level outcome (first
+    solver's time); the ledger receives every component's time; the budget
+    cost handed back to the configurator is the component-time sum divided
+    by the portfolio width, i.e. per-core time. On a cache hit the prefix is
+    charged as one block of ``prefix_width * min(prefix_time, cap)``.
+    """
+
+    def __init__(
+        self,
+        base_space,
+        block_size: int,
+        backend: Backend,
+        store: RunDataStore,
+        ledger: BudgetLedger | None = None,
+        prefix: tuple[Configuration, ...] = (),
+        prefix_cache: dict[str, tuple[RunStatus, float]] | None = None,
+        scenario_cutoff: float | None = None,
+    ):
+        self.base_space = base_space
+        self.block_size = block_size
+        self.backend = backend
+        self.store = store
+        self.ledger = ledger
+        self.prefix = prefix
+        self.prefix_cache = prefix_cache if prefix_cache is not None else {}
+        self.scenario_cutoff = scenario_cutoff
+
+    @property
+    def width(self) -> int:
+        return len(self.prefix) + self.block_size
+
+    def _prefix_outcome(self, instance: Instance, seed: int) -> tuple[tuple[RunStatus, float], float]:
+        """Prefix-portfolio result on the instance plus the fresh cost paid."""
+        cached = self.prefix_cache.get(instance.id)
+        if cached is not None:
+            return cached, 0.0
+        cutoff = self.scenario_cutoff
+        outcomes = []
+        cost = 0.0
+        for comp in self.prefix:
+            status, runtime = clamp_run(*self.backend.run(comp, instance, cutoff, seed), cutoff)
+            outcomes.append((status, runtime))
+            cost += runtime
+        combined = portfolio_runtime(outcomes, cutoff)
+        result = (combined.status, combined.runtime)
+        self.prefix_cache[instance.id] = result
+        return result, cost
+
+    def run(
+        self, config: Configuration, instance: Instance, cutoff: float, seed: int
+    ) -> tuple[RunRecord, float]:
+        block = decode_product_config(self.base_space, config, self.block_size)
+        outcomes: list[tuple[RunStatus, float]] = []
+        cpu = 0.0
+        if self.prefix:
+            (status, runtime), fresh_cost = self._prefix_outcome(instance, seed)
+            if status is RunStatus.SOLVED and runtime < cutoff:
+                outcomes.append((status, runtime))
+            else:
+                outcomes.append((RunStatus.TIMEOUT, cutoff))
+            cpu += fresh_cost if fresh_cost > 0 else len(self.prefix) * min(runtime, cutoff)
+        for comp in block:
+            status, runtime = clamp_run(*self.backend.run(comp, instance, cutoff, seed), cutoff)
+            outcomes.append((status, runtime))
+            cpu += runtime
+        combined = portfolio_runtime(outcomes, cutoff)
+        record = RunRecord(
+            config_id=config.config_id,
+            instance_id=instance.id,
+            seed=seed,
+            status=combined.status,
+            runtime=combined.runtime,
+            cutoff=cutoff,
+            backend_label=f"{self.backend.label}:portfolio",
+        )
+        self.store.add(record, config)
+        if self.ledger is not None:
+            self.ledger.charge(cpu, kind="configuration")
+        return record, cpu / self.width
 
 
 def construct_parhydra(
@@ -675,17 +621,20 @@ def construct_parhydra(
     """Greedy block construction: each iteration jointly configures b new
     components to best extend the portfolio built so far.
 
-    With b = k this is one-shot whole-portfolio configuration; with b = 1 it
-    adds one component at a time.
+    Every iteration runs ``r`` repetitions over the b-fold product space and
+    keeps the extension with the best validation score. With b = k (the
+    global plan) this is one-shot whole-portfolio configuration; with b = 1
+    it adds one component at a time. The result's candidates and scores
+    are those of the last iteration.
     """
-    if plan.method != "parhydra":
+    if plan.method not in ("global", "parhydra"):
         raise ValueError(f"plan is for method {plan.method!r}")
     ledger = BudgetLedger()
     events: list[dict] = []
     b = plan.b
     block_space = compose_product_space(scenario.space, b)
     initial = make_product_config(block_space, [default_config(scenario.space)] * b)
-    prefix: list[Configuration] = []
+    prefix: tuple[Configuration, ...] = ()
     prefix_cache: dict[str, tuple[RunStatus, float]] = {}
     stores: list[RunDataStore] = []
     rep_seeds = [derive_seed(seed, "rep", rep) for rep in range(plan.r)]
@@ -700,7 +649,7 @@ def construct_parhydra(
                 backend,
                 store,
                 ledger,
-                prefix=tuple(prefix),
+                prefix=prefix,
                 prefix_cache=dict(prefix_cache),
                 scenario_cutoff=scenario.cutoff,
             )
@@ -716,19 +665,15 @@ def construct_parhydra(
                 evaluator=evaluator,
                 settings=settings,
             )
-            return list(decode_product_config(scenario.space, winner, b)), store
+            return decode_product_config(scenario.space, winner, b), store
 
-        outputs = _map_calls(one_block, plan.r, backend, cores, keep_errors=True)
-        blocks = [out for out in outputs if not isinstance(out, Exception)]
-        for out in outputs:
-            if isinstance(out, Exception):
-                logger.warning("block repetition failed: %s", out)
-        if not blocks:
-            raise RuntimeError("every block repetition failed")
+        blocks = _exclude_failed(
+            _map_calls(one_block, plan.r, backend, cores, keep_errors=True), events
+        )
         stores.extend(store for _, store in blocks)
-        unions = [tuple(prefix) + tuple(block) for block, _ in blocks]
+        candidates = tuple(prefix + block for block, _ in blocks)
         outcome = validate_and_select(
-            unions,
+            candidates,
             scenario.train_instances,
             plan.t_v,
             scenario.cutoff,
@@ -737,7 +682,7 @@ def construct_parhydra(
             backend,
             ledger,
         )
-        prefix.extend(blocks[outcome.best_index][0])
+        prefix = candidates[outcome.best_index]
         prefix_cache = {
             r.instance_id: (r.status, r.runtime) for r in outcome.best_results
         }
@@ -750,24 +695,25 @@ def construct_parhydra(
                 "portfolio_size": len(prefix),
             }
         )
-
-    portfolio = Portfolio(
-        components=tuple(prefix),
-        method_label="parhydra",
-        seeds=tuple(rep_seeds),
-        consumed_cpu_time=ledger.total,
-    )
     return ConstructionResult(
-        portfolio=portfolio,
-        candidates=(tuple(prefix),),
-        selected_index=0,
-        validation_scores=(math.nan,),
-        groupings=(None,),
-        transfer_reports=((),),
+        portfolio=Portfolio(
+            components=prefix,
+            method_label=plan.method,
+            seeds=tuple(rep_seeds),
+            consumed_cpu_time=ledger.total,
+        ),
+        candidates=candidates,
+        selected_index=outcome.best_index,
+        validation_scores=outcome.scores,
+        groupings=(None,) * len(candidates),
+        transfer_reports=((),) * len(candidates),
         ledger=ledger,
         events=events,
         stores=tuple(stores),
     )
+
+
+construct_global = construct_parhydra
 
 
 CONSTRUCTORS: dict[str, Callable] = {

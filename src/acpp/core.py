@@ -122,12 +122,6 @@ class InstanceGrouping:
     def all_instances(self) -> frozenset[str]:
         return frozenset(ins for subset in self.subsets for ins in subset)
 
-    def subset_of(self, instance_id: str) -> int:
-        for j, subset in enumerate(self.subsets):
-            if instance_id in subset:
-                return j
-        raise KeyError(instance_id)
-
 
 @dataclass(frozen=True)
 class Portfolio:
@@ -186,6 +180,17 @@ def penalized_score(status: RunStatus, runtime: float, cutoff: float, penalty: i
     if status is RunStatus.SOLVED:
         return runtime
     return penalty * cutoff
+
+
+def clamp_run(status: RunStatus, runtime: float, cutoff: float) -> tuple[RunStatus, float]:
+    """A backend's outcome of one run, bounded by the cutoff.
+
+    A TIMEOUT, or a run that did not crash but went past the cutoff, is a
+    TIMEOUT at the cutoff; a crash is charged at most the cutoff.
+    """
+    if runtime > cutoff or status is RunStatus.TIMEOUT:
+        return (status if status is RunStatus.CRASHED else RunStatus.TIMEOUT), cutoff
+    return status, runtime
 
 
 def par_score(records: Iterable, cutoff: float, penalty: int) -> float:

@@ -16,10 +16,8 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -32,8 +30,6 @@ from .space import (
     ParameterSpace,
     encode_config,
     encoding_kinds,
-    parse_space,
-    serialize_space,
 )
 
 LOG_FLOOR = 1e-3  # scores are clamped here before the log transform
@@ -42,9 +38,6 @@ LOG_FLOOR = 1e-3  # scores are clamped here before the log transform
 # samples, is grown with Python lists: below it a numpy call costs more in
 # overhead than the loop it replaces
 SMALL_NODE_CELLS = 512
-
-MODEL_FORMAT_VERSION = 1
-
 
 @dataclass(frozen=True)
 class ForestParams:
@@ -174,77 +167,6 @@ class PerformanceModel:
         """Predicted penalized seconds for one (configuration, instance) pair."""
         row = encode_config(self.space, config, features, feature_dim=self.feature_dim)
         return float(10.0 ** self.predict_transformed(row[None, :])[0])
-
-    def predict_cost_rows(self, X: np.ndarray) -> np.ndarray:
-        return 10.0 ** self.predict_transformed(X)
-
-    def save(self, path: str | Path) -> None:
-        """One structured-text file holding the whole ensemble."""
-        doc = {
-            "format_version": MODEL_FORMAT_VERSION,
-            "column_kinds": list(self.column_kinds),
-            "feature_dim": self.feature_dim,
-            "y_min": self.y_min,
-            "y_max": self.y_max,
-            "params": {
-                "n_trees": self.params.n_trees,
-                "min_leaf": self.params.min_leaf,
-                "bootstrap": self.params.bootstrap,
-                "max_exhaustive_categories": self.params.max_exhaustive_categories,
-            },
-            "space": serialize_space(self.space),
-            "trees": [
-                {
-                    "feature": tree.feature.tolist(),
-                    "threshold": tree.threshold.tolist(),
-                    "left_values": [
-                        sorted(vals) if vals is not None else None
-                        for vals in map(tree.left_values, range(len(tree.feature)))
-                    ],
-                    "children": tree.children.tolist(),
-                    "value": tree.value.tolist(),
-                }
-                for tree in self.trees
-            ],
-        }
-        Path(path).write_text(json.dumps(doc, sort_keys=True) + "\n")
-
-    @classmethod
-    def load(cls, path: str | Path) -> PerformanceModel:
-        doc = json.loads(Path(path).read_text())
-        version = doc.get("format_version")
-        if version != MODEL_FORMAT_VERSION:
-            raise ValueError(f"unsupported model format version {version!r}")
-        trees = []
-        for entry in doc["trees"]:
-            left_values = entry["left_values"]
-            codes = [
-                np.asarray(vals, dtype=float) - SENTINEL if vals is not None else np.empty(0)
-                for vals in left_values
-            ]
-            n_codes = 1 + max((int(c.max()) for c in codes if c.size), default=0)
-            left_codes = np.zeros((len(codes), n_codes), dtype=bool)
-            for node, node_codes in enumerate(codes):
-                left_codes[node, node_codes.astype(np.intp)] = True
-            trees.append(
-                _Tree(
-                    feature=np.array(entry["feature"]),
-                    threshold=np.array(entry["threshold"]),
-                    categorical=np.array([vals is not None for vals in left_values]),
-                    left_codes=left_codes,
-                    children=np.array(entry["children"]),
-                    value=np.array(entry["value"]),
-                )
-            )
-        return cls(
-            trees=trees,
-            column_kinds=tuple(doc["column_kinds"]),
-            feature_dim=doc["feature_dim"],
-            y_min=doc["y_min"],
-            y_max=doc["y_max"],
-            params=ForestParams(**doc["params"]),
-            space=parse_space(doc["space"]),
-        )
 
 
 def fit_model(

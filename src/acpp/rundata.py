@@ -2,19 +2,16 @@
 
 The store is global across subsets and phases within one construction run;
 concurrent configure calls append under a lock and queries see a consistent
-snapshot. Records are persisted as a line-delimited JSON log so interrupted
-constructions can resume.
+snapshot. It lives in memory only.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import threading
-from pathlib import Path
 
-from .core import RunRecord, RunStatus, penalized_score
-from .space import Configuration, ParameterSpace, parse_config, serialize_config
+from .core import RunRecord, penalized_score
+from .space import Configuration
 
 
 class RunDataStore:
@@ -43,10 +40,6 @@ class RunDataStore:
         with self._lock:
             return tuple(self._records)
 
-    def config(self, config_id: str) -> Configuration:
-        with self._lock:
-            return self._configs[config_id]
-
     def known_configs(self) -> dict[str, Configuration]:
         with self._lock:
             return dict(self._configs)
@@ -69,62 +62,3 @@ class RunDataStore:
         return math.fsum(
             penalized_score(r.status, r.runtime, cutoff, penalty) for r in runs
         ) / len(runs)
-
-    def save(self, path: str | Path) -> None:
-        records = self.records()
-        configs = self.known_configs()
-        with open(path, "w") as fh:
-            for rec in records:
-                config = configs.get(rec.config_id)
-                fh.write(
-                    json.dumps(
-                        {
-                            "config_id": rec.config_id,
-                            "config": serialize_config(config) if config else None,
-                            "instance_id": rec.instance_id,
-                            "seed": rec.seed,
-                            "status": rec.status.value,
-                            "runtime": rec.runtime,
-                            "cutoff": rec.cutoff,
-                            "phase": rec.phase,
-                            "subset_index": rec.subset_index,
-                            "backend": rec.backend_label,
-                        },
-                        sort_keys=True,
-                    )
-                    + "\n"
-                )
-
-    @classmethod
-    def load(cls, path: str | Path, space: ParameterSpace) -> RunDataStore:
-        store = cls()
-        config_cache: dict[str, Configuration] = {}
-        with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                doc = json.loads(line)
-                record = RunRecord(
-                    config_id=doc["config_id"],
-                    instance_id=doc["instance_id"],
-                    seed=doc["seed"],
-                    status=RunStatus(doc["status"]),
-                    runtime=doc["runtime"],
-                    cutoff=doc["cutoff"],
-                    backend_label=doc.get("backend", ""),
-                    phase=doc.get("phase"),
-                    subset_index=doc.get("subset_index"),
-                )
-                config = None
-                if doc.get("config") is not None:
-                    config = config_cache.get(doc["config"])
-                    if config is None:
-                        config = parse_config(space, doc["config"])
-                        config_cache[doc["config"]] = config
-                store.add(record, config)
-        return store
-
-
-def record_run(store: RunDataStore, record: RunRecord, config: Configuration | None = None) -> None:
-    store.add(record, config)

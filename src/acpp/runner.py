@@ -30,6 +30,7 @@ from .core import (
     Portfolio,
     RunRecord,
     RunStatus,
+    clamp_run,
     portfolio_runtime,
 )
 from .rundata import RunDataStore
@@ -110,11 +111,7 @@ def execute_run(
     """
     if cutoff <= 0:
         raise ValueError("cutoff must be positive")
-    status, runtime = backend.run(config, instance, cutoff, seed)
-    if runtime > cutoff or status is RunStatus.TIMEOUT:
-        runtime = cutoff
-        if status is not RunStatus.CRASHED:
-            status = RunStatus.TIMEOUT
+    status, runtime = clamp_run(*backend.run(config, instance, cutoff, seed), cutoff)
     record = RunRecord(
         config_id=config.config_id,
         instance_id=instance.id,
@@ -164,12 +161,11 @@ def evaluate_portfolio(
             cpu = 0.0
             for j, comp in enumerate(components):
                 try:
-                    status, runtime = backend.run(comp, instance, cutoff, seed + idx)
+                    status, runtime = clamp_run(
+                        *backend.run(comp, instance, cutoff, seed + idx), cutoff
+                    )
                 except Exception:
                     status, runtime = RunStatus.CRASHED, cutoff
-                runtime = min(runtime, cutoff)
-                if status is RunStatus.TIMEOUT:
-                    runtime = cutoff
                 outcomes.append((status, runtime))
                 cpu += runtime
                 if ledger is not None:
@@ -270,7 +266,7 @@ class ExternalBackend:
                 return
             elapsed = time.monotonic() - start
             status, runtime = _parse_result(stdout, cutoff, elapsed)
-            outcomes[j] = (status, min(runtime, cutoff))
+            outcomes[j] = (status, runtime)
             if status is RunStatus.SOLVED and not first_solved.is_set():
                 first_solved.set()
                 with lock:
@@ -286,7 +282,7 @@ class ExternalBackend:
         for t in threads:
             t.join()
         outcome = portfolio_runtime(outcomes, cutoff)
-        cpu = sum(min(runtime, cutoff) for _, runtime in outcomes)
+        cpu = sum(runtime for _, runtime in outcomes)
         return InstanceResult(
             instance_id=instance.id,
             status=outcome.status,

@@ -22,7 +22,7 @@ from __future__ import annotations
 import hashlib
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from random import Random
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
@@ -483,6 +483,20 @@ def serialize_space(space: ParameterSpace) -> str:
 # multi-solver composition and portfolio product spaces
 
 
+def _add_renamed(
+    space: ParameterSpace,
+    prefix: str,
+    params: list[Parameter],
+    conditions: list[Condition],
+) -> None:
+    """Append the space's parameters and conditions with ``prefix`` put
+    before every parameter name."""
+    params.extend(replace(p, name=prefix + p.name) for p in space.parameters)
+    conditions.extend(
+        Condition(prefix + c.child, prefix + c.parent, c.activating) for c in space.conditions
+    )
+
+
 def compose_selector_space(
     subspaces: Mapping[str, ParameterSpace],
     selector_name: str = "solver",
@@ -507,20 +521,7 @@ def compose_selector_space(
     conditions: list[Condition] = []
     for label, sub in subspaces.items():
         prefix = f"{label}{PRODUCT_SEPARATOR}"
-        for p in sub.parameters:
-            params.append(
-                Parameter(
-                    prefix + p.name,
-                    p.kind,
-                    lower=p.lower,
-                    upper=p.upper,
-                    choices=p.choices,
-                    default=p.default,
-                    log_scale=p.log_scale,
-                )
-            )
-        for c in sub.conditions:
-            conditions.append(Condition(prefix + c.child, prefix + c.parent, c.activating))
+        _add_renamed(sub, prefix, params, conditions)
         # gate every unconditional sub-parameter on the selector value
         for name in sub.unconditional_names():
             conditions.append(Condition(prefix + name, selector_name, (label,)))
@@ -539,21 +540,7 @@ def compose_product_space(space: ParameterSpace, k: int) -> ParameterSpace:
     params: list[Parameter] = []
     conditions: list[Condition] = []
     for i in range(1, k + 1):
-        prefix = _copy_prefix(i)
-        for p in space.parameters:
-            params.append(
-                Parameter(
-                    prefix + p.name,
-                    p.kind,
-                    lower=p.lower,
-                    upper=p.upper,
-                    choices=p.choices,
-                    default=p.default,
-                    log_scale=p.log_scale,
-                )
-            )
-        for c in space.conditions:
-            conditions.append(Condition(prefix + c.child, prefix + c.parent, c.activating))
+        _add_renamed(space, _copy_prefix(i), params, conditions)
     return ParameterSpace(tuple(params), tuple(conditions))
 
 

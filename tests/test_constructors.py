@@ -8,7 +8,9 @@ import pytest
 from acpp import constructors
 from acpp.configurator import ConfiguratorSettings, configure
 from acpp.constructors import (
+    ALL_METHODS,
     CONSTRUCTORS,
+    PortfolioEvaluator,
     construct_clustering,
     construct_global,
     construct_parhydra,
@@ -65,6 +67,11 @@ class TestPlanBudget:
         assert plan_budget("parhydra", 8, 6 * HOURS, 4 * HOURS, 10, b=1).total_cpu == pytest.approx(3600 * HOURS)
         assert plan_budget("parhydra", 8, 12 * HOURS, 4 * HOURS, 10, b=2).total_cpu == pytest.approx(3200 * HOURS)
         assert plan_budget("parhydra", 8, 24 * HOURS, 4 * HOURS, 10, b=4).total_cpu == pytest.approx(3360 * HOURS)
+
+    def test_global_is_the_block_plan_with_b_equal_k(self):
+        plan = plan_budget("global", 8, 36 * HOURS, 4 * HOURS, 10, b=3)
+        assert (plan.method, plan.b, plan.iterations) == ("global", 8, 1)
+        assert plan.total_cpu == plan_budget("pcrs", 8, 36 * HOURS, 4 * HOURS, 10).total_cpu
 
     def test_parhydra_block_must_divide(self):
         with pytest.raises(ValueError, match="divide"):
@@ -216,7 +223,8 @@ class TestGroupedConstructors:
         assert result.ledger.validation_time <= plan.r * sc.k * (plan.t_v + sc.cutoff)
         assert result.ledger.total <= plan.total_cpu + (config_calls + plan.r * sc.k) * sc.cutoff
 
-    def test_crashing_repetition_excluded_with_warning(self, caplog):
+    @pytest.mark.parametrize("method", ["pcrs", "global"])
+    def test_crashing_repetition_excluded_with_warning(self, method, caplog):
         syn = tiny_synthetic(seed=9)
         backend = syn.backend()
         calls = {"n": 0}
@@ -229,11 +237,13 @@ class TestGroupedConstructors:
             return original(config, instance, cutoff, seed)
 
         backend.run = flaky
-        plan = plan_budget("pcrs", 2, 600.0, 300.0, 2)
+        plan = plan_budget(method, 2, 600.0, 300.0, 2)
         with caplog.at_level(logging.WARNING):
-            result = construct_pcrs(syn.scenario, plan, 2, backend, settings=FAST, cores=1)
-        assert len(result.candidates) == 1
+            result = CONSTRUCTORS[method](syn.scenario, plan, 2, backend, settings=FAST, cores=1)
+        assert len(result.candidates) == len(result.validation_scores) == 1
         assert any("excluded" in r.message for r in caplog.records)
+        failed = [e for e in result.events if e["event"] == "repetition_failed"]
+        assert [e["repetition"] for e in failed] == [0]
 
     def test_all_repetitions_failing_raises(self):
         syn = tiny_synthetic(seed=10)
@@ -249,7 +259,7 @@ class TestGroupedConstructors:
 
 
 class TestScheduleIndependence:
-    @pytest.mark.parametrize("method", ["pcit", "pcrs"])
+    @pytest.mark.parametrize("method", ALL_METHODS)
     def test_cores_do_not_change_results(self, method, monkeypatch):
         syn = tiny_synthetic(seed=18, families=2, configs=6, train=16, k=2)
         plan = plan_budget(method, 2, 600.0, 300.0, 2, n=3)
@@ -338,6 +348,35 @@ class TestGlobalAndParhydra:
         # ledger charged both components of every evaluation
         walls = sum(r.runtime for r in store.records())
         assert result.ledger.configuration_time > walls
+
+    def test_global_is_one_block_iteration_with_validated_candidates(self):
+        syn = tiny_synthetic(seed=14, families=2, configs=4, train=10, k=2)
+        plan = plan_budget("global", 2, 400.0, 200.0, 3)
+        result = construct_global(syn.scenario, plan, 6, syn.backend(), settings=FAST)
+        assert result.portfolio.method_label == "global"
+        assert [e["event"] for e in result.events] == ["iteration_done"]
+        assert len(result.candidates) == len(result.validation_scores) == 3
+        assert not any(math.isnan(score) for score in result.validation_scores)
+        assert result.portfolio.components == result.candidates[result.selected_index]
+        assert result.selected_grouping is None
+
+    def test_product_evaluator_scores_late_solve_as_timeout(self):
+        from acpp.core import Instance
+        from acpp.space import compose_product_space, make_config, make_product_config, parse_space
+
+        class LateSolver:
+            label = "late"
+
+            def run(self, config, instance, cutoff, seed):
+                return RunStatus.SOLVED, cutoff + 1.0
+
+        space = parse_space("strategy categorical {a, b} [a]\n")
+        product = make_product_config(
+            compose_product_space(space, 2), [make_config(space, {"strategy": "a"})] * 2
+        )
+        evaluator = PortfolioEvaluator(space, 2, LateSolver(), RunDataStore(), scenario_cutoff=20.0)
+        record, cost = evaluator.run(product, Instance("i1"), 20.0, 0)
+        assert (record.status, record.runtime, cost) == (RunStatus.TIMEOUT, 20.0, 20.0)
 
     def test_parhydra_b_must_divide(self):
         syn = tiny_synthetic(seed=15)

@@ -11,6 +11,7 @@ from acpp.core import (
     InstanceResult,
     RunRecord,
     RunStatus,
+    clamp_run,
     par_score,
     penalized_score,
     portfolio_runtime,
@@ -71,6 +72,23 @@ class TestParScore:
         lhs = Fraction(par10)
         rhs = Fraction(par1) + Fraction(9) * Fraction(cutoff) * Fraction(timeouts, len(records))
         assert abs(lhs - rhs) <= Fraction(abs(par10) or 1.0) * Fraction(1, 2**50)
+
+
+class TestClampRun:
+    @pytest.mark.parametrize(
+        "status,runtime,expected",
+        [
+            (RunStatus.SOLVED, 12.0, (RunStatus.SOLVED, 12.0)),
+            (RunStatus.SOLVED, 20.0, (RunStatus.SOLVED, 20.0)),
+            (RunStatus.SOLVED, 21.0, (RunStatus.TIMEOUT, 20.0)),
+            (RunStatus.TIMEOUT, 3.0, (RunStatus.TIMEOUT, 20.0)),
+            (RunStatus.TIMEOUT, 25.0, (RunStatus.TIMEOUT, 20.0)),
+            (RunStatus.CRASHED, 3.0, (RunStatus.CRASHED, 3.0)),
+            (RunStatus.CRASHED, 25.0, (RunStatus.CRASHED, 20.0)),
+        ],
+    )
+    def test_rule(self, status, runtime, expected):
+        assert clamp_run(status, runtime, 20.0) == expected
 
 
 class TestPortfolioRuntime:

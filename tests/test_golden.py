@@ -18,7 +18,7 @@ import pytest
 from acpp.cli import run_command
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
-METHODS = ("pcit", "pcrs", "parhydra")
+METHODS = ("pcit", "pcrs", "global", "clustering", "parhydra")
 SEEDS = (0, 1)
 FILES = ("portfolio.json", "report.json", "construction_log.jsonl")
 SYNTH_ARGS = ["synth-gen", "--families", "3", "--configs", "5", "--instances", "24", "--seed", "3"]

@@ -1,7 +1,7 @@
 import pytest
 
 from acpp.core import RunRecord, RunStatus
-from acpp.rundata import RunDataStore, record_run
+from acpp.rundata import RunDataStore
 from acpp.space import make_config, parse_space
 
 
@@ -23,7 +23,7 @@ class TestStore:
     def test_append_then_query(self, config):
         store = RunDataStore()
         record = rec(config, "i1", RunStatus.SOLVED, 3.0)
-        record_run(store, record, config)
+        store.add(record, config)
         assert store.runs_for(config.config_id, "i1") == (record,)
 
     def test_duplicate_pairs_both_retained(self, config):
@@ -38,16 +38,6 @@ class TestStore:
         store = RunDataStore()
         with pytest.raises(ValueError):
             store.add(rec(config, "i1", RunStatus.SOLVED, 1.0), other)
-
-    def test_persistence_roundtrip(self, space, config, tmp_path):
-        store = RunDataStore()
-        store.add(rec(config, "i1", RunStatus.SOLVED, 3.0, phase=2, subset_index=1), config)
-        store.add(rec(config, "i2", RunStatus.TIMEOUT, 60.0), config)
-        path = tmp_path / "rundata.jsonl"
-        store.save(path)
-        loaded = RunDataStore.load(path, space)
-        assert loaded.records() == store.records()
-        assert loaded.known_configs() == store.known_configs()
 
 
 class TestIncumbentPerformance:

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from acpp.core import Instance, RunStatus
+from acpp.core import Instance, RunStatus, penalized_score
 from acpp.rundata import RunDataStore
 from acpp.runner import BudgetLedger, ExternalBackend, evaluate_portfolio, execute_run
 from acpp.space import make_config, parse_space
@@ -101,6 +101,22 @@ class TestPortfolioEvaluation:
         (result,) = evaluate_portfolio(backend, components, [Instance("i1")], 20.0, 0)
         assert result.status is RunStatus.TIMEOUT
         assert result.runtime == 20.0
+
+    def test_solved_past_cutoff_scores_as_timeout(self, space):
+        class LateSolver:
+            label = "late"
+
+            def run(self, config, instance, cutoff, seed):
+                return RunStatus.SOLVED, cutoff + 1.0
+
+        components = [make_config(space, {"strategy": "fast"})]
+        ledger = BudgetLedger()
+        (result,) = evaluate_portfolio(
+            LateSolver(), components, [Instance("i1")], 20.0, 0, ledger=ledger
+        )
+        assert (result.status, result.runtime) == (RunStatus.TIMEOUT, 20.0)
+        assert penalized_score(result.status, result.runtime, 20.0, 10) == 200.0
+        assert ledger.validation_time == 20.0
 
     def test_component_run_accounting(self, space):
         spec = SyntheticScenarioSpec(
