@@ -161,11 +161,10 @@ def evaluate_portfolio(
             cpu = 0.0
             for j, comp in enumerate(components):
                 try:
-                    status, runtime = clamp_run(
-                        *backend.run(comp, instance, cutoff, seed + idx), cutoff
-                    )
+                    status, runtime = backend.run(comp, instance, cutoff, seed + idx)
                 except Exception:
                     status, runtime = RunStatus.CRASHED, cutoff
+                status, runtime = clamp_run(status, runtime, cutoff)
                 outcomes.append((status, runtime))
                 cpu += runtime
                 if ledger is not None:

@@ -167,6 +167,29 @@ class TestKMeans:
         assert all(len(v) == 1 for v in agreement.values())
 
 
+def check_first_repetition_excluded(method, caplog):
+    """The repetition whose first solver run raises is left out and logged."""
+    syn = tiny_synthetic(seed=9)
+    backend = syn.backend()
+    calls = {"n": 0}
+    original = backend.run
+
+    def flaky(config, instance, cutoff, seed):
+        calls["n"] += 1
+        if calls["n"] == 1:
+            raise RuntimeError("solver exploded")
+        return original(config, instance, cutoff, seed)
+
+    backend.run = flaky
+    plan = plan_budget(method, 2, 600.0, 300.0, 2)
+    with caplog.at_level(logging.WARNING):
+        result = CONSTRUCTORS[method](syn.scenario, plan, 2, backend, settings=FAST, cores=1)
+    assert len(result.candidates) == len(result.validation_scores) == 1
+    assert any("excluded" in r.message for r in caplog.records)
+    failed = [e for e in result.events if e["event"] == "repetition_failed"]
+    assert [e["repetition"] for e in failed] == [0]
+
+
 class TestGroupedConstructors:
     def test_pcrs_k1_equals_single_configure(self):
         syn = tiny_synthetic(seed=4, families=1, configs=6, train=12, k=1)
@@ -223,27 +246,11 @@ class TestGroupedConstructors:
         assert result.ledger.validation_time <= plan.r * sc.k * (plan.t_v + sc.cutoff)
         assert result.ledger.total <= plan.total_cpu + (config_calls + plan.r * sc.k) * sc.cutoff
 
-    @pytest.mark.parametrize("method", ["pcrs", "global"])
-    def test_crashing_repetition_excluded_with_warning(self, method, caplog):
-        syn = tiny_synthetic(seed=9)
-        backend = syn.backend()
-        calls = {"n": 0}
-        original = backend.run
+    def test_crashing_repetition_excluded_with_warning(self, caplog):
+        check_first_repetition_excluded("pcrs", caplog)
 
-        def flaky(config, instance, cutoff, seed):
-            calls["n"] += 1
-            if calls["n"] == 1:
-                raise RuntimeError("solver exploded")
-            return original(config, instance, cutoff, seed)
-
-        backend.run = flaky
-        plan = plan_budget(method, 2, 600.0, 300.0, 2)
-        with caplog.at_level(logging.WARNING):
-            result = CONSTRUCTORS[method](syn.scenario, plan, 2, backend, settings=FAST, cores=1)
-        assert len(result.candidates) == len(result.validation_scores) == 1
-        assert any("excluded" in r.message for r in caplog.records)
-        failed = [e for e in result.events if e["event"] == "repetition_failed"]
-        assert [e["repetition"] for e in failed] == [0]
+    def test_crashing_block_repetition_excluded_with_warning(self, caplog):
+        check_first_repetition_excluded("global", caplog)
 
     def test_all_repetitions_failing_raises(self):
         syn = tiny_synthetic(seed=10)

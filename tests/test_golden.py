@@ -10,7 +10,6 @@ After a change that is meant to move the outputs, rewrite the files with
 ``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
 """
 
-import sys
 from pathlib import Path
 
 import pytest
@@ -69,5 +68,4 @@ def regenerate() -> None:
 
 
 if __name__ == "__main__":
-    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
     regenerate()
