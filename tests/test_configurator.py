@@ -1,9 +1,10 @@
 import logging
+import math
 
 import pytest
 
 from acpp.configurator import ConfiguratorSettings, configure
-from acpp.core import Instance, Metric
+from acpp.core import Instance, Metric, RunStatus
 from acpp.perfmodel import ForestParams
 from acpp.rundata import RunDataStore
 from acpp.runner import BudgetLedger
@@ -13,6 +14,57 @@ from acpp.synthetic import SyntheticBackend, SyntheticScenarioSpec
 FAST_SETTINGS = ConfiguratorSettings(
     n_candidates=64, score_instance_sample=4, forest=ForestParams(n_trees=6)
 )
+# the acceptance suite's FAST settings
+ACCEPTANCE_FAST = ConfiguratorSettings(
+    n_candidates=128, score_instance_sample=4, refit_growth=1.25, forest=ForestParams(n_trees=8)
+)
+
+NUMERIC_SPACE = """\
+strategy categorical {fast, careful, hybrid} [fast]
+mode categorical {plain, deep} [plain]
+level integer [1, 256] [8] log
+depth integer [0, 12] [4]
+alpha real [0.0, 1.0] [0.5]
+rate real [0.001, 10.0] [0.1] log
+
+[conditions]
+mode | strategy in {careful, hybrid}
+level | mode in {deep}
+rate | strategy in {hybrid}
+"""
+
+
+class NumericBackend:
+    """Deterministic runtimes that depend on every numeric parameter.
+
+    An instance's features are (hardness, ideal alpha); a run gets slower
+    as alpha moves from the ideal, log2(level) from 5, log10(rate) from -1
+    and depth from 6.
+    """
+
+    label = "numeric"
+
+    def run(self, config, instance, cutoff, seed):
+        hardness, ideal = instance.features
+        t = {"fast": 4.0, "careful": 3.0, "hybrid": 2.5}[config["strategy"]] * hardness
+        t *= 1.0 + 2.0 * abs(config["alpha"] - ideal)
+        t *= 1.0 + 0.05 * abs(config["depth"] - 6)
+        if "level" in config:
+            t *= 0.6 + abs(math.log2(config["level"]) - 5.0) / 4.0
+        if "rate" in config:
+            t *= 1.0 + abs(math.log10(config["rate"]) + 1.0) / 3.0
+        if t >= cutoff:
+            return RunStatus.TIMEOUT, cutoff
+        return RunStatus.SOLVED, t
+
+
+def numeric_scenario(n_instances=12, cutoff=10.0):
+    """A conditional chain (strategy -> mode -> log-integer level), a
+    conditional log-real, a plain integer and a plain real."""
+    instances = [
+        Instance(f"n{j}", (0.8 + 0.05 * j, (j % 4) / 3.0)) for j in range(n_instances)
+    ]
+    return parse_space(NUMERIC_SPACE), instances, NumericBackend(), cutoff
 
 
 def scenario_with_dominant(n_values=8, n_instances=10, cutoff=30.0):
@@ -127,3 +179,22 @@ class TestSearchQuality:
                 )
             )
         assert results[0] == results[1]
+
+
+class TestPinnedNumericSearch:
+    """Incumbents and run counts of ``configure`` on a numeric, conditional
+    space, pinned so that a change meant to keep the search exact can be
+    checked against them."""
+
+    # captured before the candidate pool was drawn as value tuples
+    PINNED = {0: ("69235a24d962", 243), 1: ("8b5c3b826f93", 215), 2: ("3f5b723c88ca", 234)}
+
+    @pytest.mark.parametrize("seed", (0, 1, 2))
+    def test_incumbent_and_run_count_pinned(self, seed):
+        space, instances, backend, cutoff = numeric_scenario()
+        store = RunDataStore()
+        result = configure(
+            space, instances, cutoff, 1500.0, Metric.PAR10, store, seed,
+            backend=backend, settings=ACCEPTANCE_FAST,
+        )
+        assert (result.config_id, len(store)) == self.PINNED[seed]
