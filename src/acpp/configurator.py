@@ -1,7 +1,9 @@
 """Model-assisted algorithm configuration with racing against an incumbent.
 
 The engine interleaves one random challenger with one model-greedy
-challenger (picked from a pool of random candidates scored by the forest),
+challenger (picked from a pool of random candidates scored by the forest;
+the pool is drawn as value tuples and encoded straight into one matrix, and
+only its argmin becomes a ``Configuration``),
 races each challenger against the incumbent on a growing, seeded-shuffle
 instance schedule with early elimination, and caps challenger runs at a
 multiple of the incumbent's time on the same instance. A challenger is
@@ -36,6 +38,7 @@ from .space import (
     default_config,
     encode_config,
     encoding_kinds,
+    make_config,
     sample_config,
 )
 
@@ -161,6 +164,7 @@ def configure(
     model: PerformanceModel | None = None
     use_model_next = False
     column_kinds = encoding_kinds(space) + ("num",) * feature_dim
+    plan = space.sampling_plan
     enc_cache: dict[str, np.ndarray] = {}
 
     def encode_params(config: Configuration) -> np.ndarray:
@@ -214,16 +218,19 @@ def configure(
         use_model_next = not use_model_next
         if not use_model:
             return sample_config(space, rng)
-        pool: dict[str, Configuration] = {}
+        # value tuples in first-seen order, on which argmin's first-minimum
+        # tie-break depends
+        incumbent_values = plan.values_of(state.incumbent)
+        pool: dict[tuple, None] = {}
         for _ in range(settings.n_candidates):
-            cand = sample_config(space, rng)
-            if cand.config_id != state.incumbent.config_id:
-                pool.setdefault(cand.config_id, cand)
+            values = plan.draw(rng)
+            if values != incumbent_values:
+                pool[values] = None
         if not pool:
             return sample_config(space, rng)
-        candidates = list(pool.values())
+        candidates = list(pool)
         sample = rng.sample(order, min(len(order), settings.score_instance_sample))
-        cand_block = np.vstack([encode_params(c) for c in candidates])
+        cand_block = plan.encode(candidates)
         feat_block = np.vstack([features[ins.id] for ins in sample])
         rows = np.hstack(
             [
@@ -232,7 +239,8 @@ def configure(
             ]
         )
         predictions = model.predict_transformed(rows).reshape(len(candidates), len(sample))
-        return candidates[int(np.argmin(predictions.mean(axis=1)))]
+        best = candidates[int(np.argmin(predictions.mean(axis=1)))]
+        return make_config(space, plan.assignments(best))
 
     state = _State(incumbent)
 

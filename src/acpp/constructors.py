@@ -67,6 +67,10 @@ logger = logging.getLogger(__name__)
 
 ALL_METHODS = ("pcit", "pcrs", "global", "clustering", "parhydra")
 
+# raised by faulty code, not by a failing solver or backend: these end the
+# construction instead of excluding one repetition
+PROGRAMMING_ERRORS = (TypeError, AttributeError, NameError, AssertionError)
+
 
 def derive_seed(*parts) -> int:
     """Stable 31-bit seed derived from arbitrary labels."""
@@ -235,7 +239,8 @@ def _map_calls(
     Python under the interpreter lock, where threads just contend; there
     the calls run in order on the calling thread. With ``keep_errors`` an
     exception raised by a call takes its place in the result list, for the
-    caller to exclude.
+    caller to exclude, unless it is one of ``PROGRAMMING_ERRORS``, which
+    propagate.
     """
 
     def call(i: int):
@@ -243,6 +248,8 @@ def _map_calls(
             return fn(i)
         try:
             return fn(i)
+        except PROGRAMMING_ERRORS:
+            raise
         except Exception as exc:  # excluded from validation later
             return exc
 

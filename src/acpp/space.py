@@ -171,6 +171,7 @@ class ParameterSpace:
         object.__setattr__(self, "_by_name", by_name)
         object.__setattr__(self, "_conditions_of", {c: tuple(v) for c, v in conds.items()})
         object.__setattr__(self, "_topo_order", order)
+        object.__setattr__(self, "_sampling_plan", SamplingPlan(self))
 
     @staticmethod
     def _toposort(names: list[str], conds: dict[str, list[Condition]]) -> tuple[str, ...]:
@@ -200,6 +201,10 @@ class ParameterSpace:
     @property
     def topo_order(self) -> tuple[str, ...]:
         return self._topo_order
+
+    @property
+    def sampling_plan(self) -> SamplingPlan:
+        return self._sampling_plan
 
     def unconditional_names(self) -> tuple[str, ...]:
         return tuple(p.name for p in self.parameters if not self.conditions_of(p.name))
@@ -279,19 +284,22 @@ def make_config(space: ParameterSpace, assignments: Mapping[str, Any]) -> Config
         if extra:
             parts.append(f"inactive/unknown parameters assigned {sorted(extra)}")
         raise ValueError("; ".join(parts))
-    canonical: list[tuple[str, Any]] = []
-    for name in sorted(assignments):
-        param = space[name]
-        value = assignments[name]
-        if param.kind == INTEGER and isinstance(value, (int, np.integer)):
-            value = int(value)
-        elif param.kind == REAL:
-            value = float(value)
-        if not param.contains(value):
-            raise ValueError(f"value {value!r} outside domain of {name!r}")
-        canonical.append((name, value))
-    items = tuple(canonical)
+    items = tuple(
+        (name, _domain_value(space[name], assignments[name])) for name in sorted(assignments)
+    )
     return Configuration(items, _config_id(items))
+
+
+def _domain_value(param: Parameter, value: Any) -> Any:
+    """The canonical form of a value (plain int or float); raises
+    ValueError when it lies outside the parameter's domain."""
+    if param.kind == INTEGER and isinstance(value, (int, np.integer)):
+        value = int(value)
+    elif param.kind == REAL:
+        value = float(value)
+    if not param.contains(value):
+        raise ValueError(f"value {value!r} outside domain of {param.name!r}")
+    return value
 
 
 def parse_config(space: ParameterSpace, text: str) -> Configuration:
@@ -322,26 +330,102 @@ def sample_config(space: ParameterSpace, seed: int | Random) -> Configuration:
     domains); conditional children are drawn only when activated.
     """
     rng = seed if isinstance(seed, Random) else Random(seed)
-    assignments: dict[str, Any] = {}
-    for name in space.topo_order:
-        conds = space.conditions_of(name)
-        if not all(c.parent in assignments and assignments[c.parent] in c.activating for c in conds):
-            continue
-        param = space[name]
+    plan = space.sampling_plan
+    return make_config(space, plan.assignments(plan.draw(rng)))
+
+
+# draw rules of a sampling-plan slot
+_CHOICE, _UNIFORM_INT, _LOG_INT, _UNIFORM_REAL, _LOG_REAL = range(5)
+
+
+class SamplingPlan:
+    """A space compiled for drawing candidates without building Configurations.
+
+    A candidate is a value tuple with one slot per parameter in topological
+    order, ``None`` where the parameter is inactive. Each slot holds its
+    conditions as (parent slot, activating values) pairs, its draw rule and
+    its encoding column. ``draw`` makes the same ``Random`` calls in the same
+    order as drawing the assignments one parameter at a time, and checks
+    every value as ``make_config`` does, so a tuple and the Configuration
+    built from it are interchangeable and equal tuples mean equal
+    configurations.
+    """
+
+    def __init__(self, space: ParameterSpace):
+        self.names = space.topo_order
+        slot_of = {name: i for i, name in enumerate(self.names)}
+        self.params = tuple(space[name] for name in self.names)
+        column_of = {p.name: j for j, p in enumerate(space.parameters)}
+        self.columns = tuple(column_of[name] for name in self.names)
+        self.width = len(space.parameters)
+        self._slots = tuple(
+            (
+                tuple((slot_of[c.parent], c.activating) for c in space.conditions_of(p.name)),
+                *self._draw_rule(p),
+            )
+            for p in self.params
+        )
+        # make_config checks values in name order; so does draw, to raise
+        # the same error when more than one value is out of domain
+        self._checks = tuple((slot_of[name], space[name]) for name in sorted(self.names))
+
+    @staticmethod
+    def _draw_rule(param: Parameter) -> tuple[int, tuple]:
         if param.kind == CATEGORICAL:
-            assignments[name] = param.choices[rng.randrange(len(param.choices))]
-        elif param.kind == INTEGER:
+            return _CHOICE, (param.choices, len(param.choices))
+        if param.kind == INTEGER:
+            lower, upper = int(param.lower), int(param.upper)
             if param.log_scale:
-                value = int(round(math.exp(rng.uniform(math.log(param.lower), math.log(param.upper)))))
-                assignments[name] = min(max(value, int(param.lower)), int(param.upper))
+                return _LOG_INT, (math.log(param.lower), math.log(param.upper), lower, upper)
+            return _UNIFORM_INT, (lower, upper)
+        if param.log_scale:
+            return _LOG_REAL, (math.log(param.lower), math.log(param.upper))
+        return _UNIFORM_REAL, (param.lower, param.upper)
+
+    def draw(self, rng: Random) -> tuple:
+        """One uniform candidate over the active structure."""
+        values: list[Any] = [None] * len(self._slots)
+        for i, (conds, rule, args) in enumerate(self._slots):
+            for parent, activating in conds:
+                if values[parent] not in activating:
+                    break
             else:
-                assignments[name] = rng.randint(int(param.lower), int(param.upper))
-        else:
-            if param.log_scale:
-                assignments[name] = math.exp(rng.uniform(math.log(param.lower), math.log(param.upper)))
-            else:
-                assignments[name] = rng.uniform(param.lower, param.upper)
-    return make_config(space, assignments)
+                if rule == _CHOICE:
+                    choices, n = args
+                    values[i] = choices[rng.randrange(n)]
+                elif rule == _UNIFORM_INT:
+                    values[i] = rng.randint(*args)
+                elif rule == _LOG_INT:
+                    log_lower, log_upper, lower, upper = args
+                    value = int(round(math.exp(rng.uniform(log_lower, log_upper))))
+                    values[i] = min(max(value, lower), upper)
+                elif rule == _UNIFORM_REAL:
+                    values[i] = rng.uniform(*args)
+                else:
+                    values[i] = math.exp(rng.uniform(*args))
+        for i, param in self._checks:
+            if values[i] is not None:
+                values[i] = _domain_value(param, values[i])
+        return tuple(values)
+
+    def assignments(self, values: Sequence[Any]) -> dict[str, Any]:
+        """The active assignments of a value tuple, for ``make_config``."""
+        return {name: value for name, value in zip(self.names, values) if value is not None}
+
+    def values_of(self, config: Configuration) -> tuple:
+        """The value tuple of a configuration of this space."""
+        assignments = config.assignments
+        return tuple(assignments.get(name) for name in self.names)
+
+    def encode(self, candidates: Sequence[Sequence[Any]]) -> np.ndarray:
+        """One ``encode_config`` row (without features) per value tuple:
+        normalized values, ``SENTINEL`` for inactive parameters."""
+        out = np.full((len(candidates), self.width), SENTINEL)
+        for row, values in zip(out, candidates):
+            for param, column, value in zip(self.params, self.columns, values):
+                if value is not None:
+                    row[column] = param.normalize(value)
+        return out
 
 
 def encoding_kinds(space: ParameterSpace) -> tuple[str, ...]:
@@ -365,15 +449,11 @@ def encode_config(
         raise ValueError(
             f"feature vector has length {len(features)}, expected {feature_dim}"
         )
-    out = np.empty(len(space.parameters) + len(features))
-    for i, param in enumerate(space.parameters):
-        if param.name in config:
-            out[i] = param.normalize(config[param.name])
-        else:
-            out[i] = SENTINEL
-    if len(features):
-        out[len(space.parameters) :] = np.asarray(features, dtype=float)
-    return out
+    plan = space.sampling_plan
+    encoded = plan.encode([plan.values_of(config)])[0]
+    if not len(features):
+        return encoded
+    return np.concatenate([encoded, np.asarray(features, dtype=float)])
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@ import logging
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from acpp.configurator import ConfiguratorSettings, configure
 from acpp.core import Instance, Metric, RunStatus
@@ -135,6 +137,25 @@ class TestContracts:
         total_recorded = sum(r.runtime for r in store.records())
         assert ledger.configuration_time == pytest.approx(total_recorded)
         assert ledger.configuration_time <= budget + cutoff
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        budget=st.floats(0.5, 300.0),
+        cutoff=st.floats(1.0, 20.0),
+    )
+    def test_budget_property_on_numeric_space(self, seed, budget, cutoff):
+        space, instances, backend, _ = numeric_scenario(n_instances=8)
+        store = RunDataStore()
+        ledger = BudgetLedger()
+        configure(
+            space, instances, cutoff, budget, Metric.PAR10, store, seed,
+            backend=backend, ledger=ledger, settings=ACCEPTANCE_FAST,
+        )
+        assert ledger.configuration_time <= budget + cutoff
+        # charged one run at a time, in the order the store records them
+        assert ledger.configuration_time == sum(r.runtime for r in store.records())
+        assert ledger.n_runs == len(store)
 
     def test_empty_instances_rejected(self):
         space, _, backend, cutoff = scenario_with_dominant()

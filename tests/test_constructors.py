@@ -264,6 +264,19 @@ class TestGroupedConstructors:
         with pytest.raises(RuntimeError):
             construct_pcrs(syn.scenario, plan, 2, backend, settings=FAST, cores=1)
 
+    @pytest.mark.parametrize("error", constructors.PROGRAMMING_ERRORS)
+    def test_programming_error_propagates(self, error):
+        syn = tiny_synthetic(seed=10)
+        backend = syn.backend()
+
+        def faulty(config, instance, cutoff, seed):
+            raise error("faulty backend code")
+
+        backend.run = faulty
+        plan = plan_budget("pcrs", 2, 600.0, 300.0, 2)
+        with pytest.raises(error, match="faulty backend code"):
+            construct_pcrs(syn.scenario, plan, 2, backend, settings=FAST, cores=1)
+
 
 class TestScheduleIndependence:
     @pytest.mark.parametrize("method", ALL_METHODS)
@@ -314,6 +327,17 @@ class TestScheduleIndependence:
         assert outputs[:2] == [0, 1] and outputs[3] == 9
         assert isinstance(outputs[2], RuntimeError)
         assert calls == [(i, threading.get_ident()) for i in range(4)]
+
+    def test_programming_error_propagates_from_threads(self, monkeypatch):
+        monkeypatch.setattr(constructors, "ExternalBackend", SyntheticBackend)
+
+        def work(i):
+            if i == 1:
+                raise TypeError("bad call")
+            return i
+
+        with pytest.raises(TypeError, match="bad call"):
+            constructors._map_calls(work, 3, tiny_synthetic().backend(), cores=2, keep_errors=True)
 
 
 class TestClustering:

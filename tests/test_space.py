@@ -213,6 +213,153 @@ class TestSampling:
         assert 0.4 < below / len(values) < 0.6
 
 
+def reference_sample_config(space, rng):
+    """``sample_config`` as it was before the sampling plan: assignments
+    drawn one parameter at a time, in topological order."""
+    assignments = {}
+    for name in space.topo_order:
+        conds = space.conditions_of(name)
+        if not all(c.parent in assignments and assignments[c.parent] in c.activating for c in conds):
+            continue
+        param = space[name]
+        if param.kind == CATEGORICAL:
+            assignments[name] = param.choices[rng.randrange(len(param.choices))]
+        elif param.kind == INTEGER:
+            if param.log_scale:
+                value = int(round(math.exp(rng.uniform(math.log(param.lower), math.log(param.upper)))))
+                assignments[name] = min(max(value, int(param.lower)), int(param.upper))
+            else:
+                assignments[name] = rng.randint(int(param.lower), int(param.upper))
+        else:
+            if param.log_scale:
+                assignments[name] = math.exp(rng.uniform(math.log(param.lower), math.log(param.upper)))
+            else:
+                assignments[name] = rng.uniform(param.lower, param.upper)
+    return make_config(space, assignments)
+
+
+def reference_encode_config(space, config):
+    """``encode_config`` without features as it was before the sampling plan."""
+    out = np.empty(len(space.parameters))
+    for i, param in enumerate(space.parameters):
+        out[i] = param.normalize(config[param.name]) if param.name in config else SENTINEL
+    return out
+
+
+def random_space(rng, n_params):
+    """Parameters of every kind declared in shuffled order, each conditioned
+    on up to two earlier categoricals, so chains form."""
+    params, conditions, categoricals = [], [], []
+    for j in range(n_params):
+        name = f"{rng.choice('abcxyz')}{j}"
+        kind = rng.choice((CATEGORICAL, CATEGORICAL, INTEGER, REAL))
+        log_scale = kind != CATEGORICAL and rng.random() < 0.5
+        if kind == CATEGORICAL:
+            choices = tuple(f"v{i}" for i in range(rng.randint(1, 5)))
+            param = Parameter(name, kind, choices=choices, default=choices[0])
+        elif kind == INTEGER:
+            lower = rng.randint(1, 20) if log_scale else rng.randint(-20, 20)
+            upper = lower + rng.choice((1, 3, 50, 5000))
+            param = Parameter(name, kind, lower=lower, upper=upper, default=lower, log_scale=log_scale)
+        else:
+            lower = rng.choice((1e-4, 0.5, 3.0)) if log_scale else rng.uniform(-5.0, 5.0)
+            upper = lower * rng.choice((2.0, 1e3, 1e6)) if log_scale else lower + rng.uniform(0.1, 10.0)
+            param = Parameter(name, kind, lower=lower, upper=upper, default=upper, log_scale=log_scale)
+        for parent in rng.sample(categoricals, min(len(categoricals), rng.choice((0, 1, 1, 2)))):
+            active = rng.sample(parent.choices, rng.randint(1, len(parent.choices)))
+            conditions.append(Condition(name, parent.name, tuple(active)))
+        if kind == CATEGORICAL:
+            categoricals.append(param)
+        params.append(param)
+    rng.shuffle(params)
+    return ParameterSpace(tuple(params), tuple(conditions))
+
+
+def random_composed_space(rng):
+    shape = rng.choice(("plain", "selector", "product"))
+    if shape == "plain":
+        return random_space(rng, rng.randint(1, 9))
+    if shape == "selector":
+        subs = {f"s{i}": random_space(rng, rng.randint(1, 5)) for i in range(rng.randint(1, 3))}
+        return compose_selector_space(subs, "solver")
+    return compose_product_space(random_space(rng, rng.randint(1, 5)), rng.randint(1, 3))
+
+
+class TestSamplingPlan:
+    """The plan draws exactly what the one-parameter-at-a-time sampler drew."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_plan_matches_reference_sampler(self, seed):
+        space = random_composed_space(Random(seed))
+        plan = space.sampling_plan
+        reference_rng, plan_rng, wrapper_rng = Random(seed), Random(seed), Random(seed)
+        drawn = []
+        for _ in range(40):
+            expected = reference_sample_config(space, reference_rng)
+            values = plan.draw(plan_rng)
+            assert make_config(space, plan.assignments(values)) == expected
+            assert sample_config(space, wrapper_rng) == expected
+            assert plan.values_of(expected) == values
+            drawn.append((values, expected))
+        assert plan_rng.getstate() == reference_rng.getstate() == wrapper_rng.getstate()
+        rows = plan.encode([values for values, _ in drawn])
+        assert rows.shape == (len(drawn), len(space.parameters))
+        for row, (_, config) in zip(rows, drawn):
+            assert np.array_equal(row, reference_encode_config(space, config))
+            assert np.array_equal(row, encode_config(space, config))
+
+    def test_plan_covers_every_draw_rule(self):
+        space = parse_space(
+            "top categorical {u, v} [u]\n"
+            "mid categorical {x, y} [x]\n"
+            "leaf integer [1, 1000] [10] log\n"
+            "rate real [0.001, 10.0] [0.1] log\n"
+            "alpha real [0.0, 1.0] [0.5]\n"
+            "n integer [0, 9] [4]\n"
+            "\n[conditions]\n"
+            "mid | top in {v}\n"
+            "leaf | mid in {y}\n"
+            "rate | top in {u}\n"
+        )
+        reference_rng, plan_rng = Random(5), Random(5)
+        seen = set()
+        for _ in range(300):
+            expected = reference_sample_config(space, reference_rng)
+            values = space.sampling_plan.draw(plan_rng)
+            assert make_config(space, space.sampling_plan.assignments(values)) == expected
+            seen.update(expected.assignments)
+        assert seen == {p.name for p in space.parameters}
+        assert plan_rng.getstate() == reference_rng.getstate()
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "alpha real [0.0, 1.0] [0.5]\n",
+            "rate real [0.001, 10.0] [0.1] log\n",
+            # two values out of domain: the first by name is reported
+            "s categorical {a, b} [a]\nzeta real [0, 2] [1]\nbeta real [0, 3] [1]\n",
+        ],
+    )
+    def test_out_of_domain_draw_raises_the_same_error(self, text, monkeypatch):
+        space = parse_space(text)
+        monkeypatch.setattr(Random, "uniform", lambda self, a, b: b + 1.0)
+        with pytest.raises(ValueError) as reference_error:
+            reference_sample_config(space, Random(0))
+        with pytest.raises(ValueError) as plan_error:
+            space.sampling_plan.draw(Random(0))
+        with pytest.raises(ValueError) as wrapper_error:
+            sample_config(space, Random(0))
+        assert "outside domain" in str(reference_error.value)
+        assert str(plan_error.value) == str(reference_error.value) == str(wrapper_error.value)
+
+    def test_log_integer_draw_is_clamped(self, monkeypatch):
+        space = parse_space("level integer [2, 64] [8] log\n")
+        monkeypatch.setattr(Random, "uniform", lambda self, a, b: b + 1.0)
+        assert reference_sample_config(space, Random(0))["level"] == 64
+        assert space.sampling_plan.draw(Random(0)) == (64,)
+
+
 class TestEncoding:
     def test_linear_normalization(self):
         space = parse_space("p real [0, 100] [50]\n")
