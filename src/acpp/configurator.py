@@ -59,41 +59,6 @@ class ConfiguratorSettings:
     forest: ForestParams = field(default_factory=lambda: ForestParams(n_trees=10))
 
 
-class ComponentEvaluator:
-    """Default evaluator: one run of one configuration on one instance."""
-
-    def __init__(
-        self,
-        backend: Backend,
-        store: RunDataStore,
-        ledger: BudgetLedger | None = None,
-        phase: int | None = None,
-        subset_index: int | None = None,
-    ):
-        self.backend = backend
-        self.store = store
-        self.ledger = ledger
-        self.phase = phase
-        self.subset_index = subset_index
-
-    def run(
-        self, config: Configuration, instance: Instance, cutoff: float, seed: int
-    ) -> tuple[RunRecord, float]:
-        record = execute_run(
-            self.backend,
-            config,
-            instance,
-            cutoff,
-            seed,
-            store=self.store,
-            ledger=self.ledger,
-            charge="configuration",
-            phase=self.phase,
-            subset_index=self.subset_index,
-        )
-        return record, record.runtime
-
-
 @dataclass
 class _State:
     incumbent: Configuration
@@ -126,18 +91,29 @@ def configure(
     reaches the budget.
 
     ``initial_incumbent`` warm-starts the search (the default configuration
-    otherwise). A budget below one cutoff performs no runs and returns the
-    starting incumbent with a warning.
+    otherwise). Each run goes to ``evaluator.run`` when an evaluator is
+    given, which returns the record and its budget cost; otherwise it is one
+    ``backend`` run, recorded in the store and charged to the ledger. A
+    budget below one cutoff performs no runs and returns the starting
+    incumbent with a warning.
     """
     if budget <= 0:
         raise ValueError("budget must be positive")
     if not instances:
         raise ValueError("no instances to configure on")
     settings = settings or ConfiguratorSettings()
-    if evaluator is None:
-        if backend is None:
-            raise ValueError("either a backend or an evaluator is required")
-        evaluator = ComponentEvaluator(backend, store, ledger, phase, subset_index)
+    if evaluator is not None:
+        evaluate = evaluator.run
+    elif backend is None:
+        raise ValueError("either a backend or an evaluator is required")
+    else:
+
+        def evaluate(config, instance, cap, seed) -> tuple[RunRecord, float]:
+            record = execute_run(
+                backend, config, instance, cap, seed, store=store, ledger=ledger,
+                phase=phase, subset_index=subset_index,
+            )
+            return record, record.runtime
 
     incumbent = initial_incumbent if initial_incumbent is not None else default_config(space)
     if budget < cutoff:
@@ -179,7 +155,7 @@ def configure(
 
     def do_run(config: Configuration, instance: Instance, cap: float) -> RunRecord:
         nonlocal consumed, runs_done
-        record, cost = evaluator.run(config, instance, cap, rng.randrange(2**31))
+        record, cost = evaluate(config, instance, cap, rng.randrange(2**31))
         consumed += cost
         runs_done += 1
         own_rows.append(encode_pair(config, instance.id))

@@ -27,7 +27,6 @@ the shared stores are order-invariant.
 
 from __future__ import annotations
 
-import hashlib
 import logging
 import math
 import os
@@ -39,6 +38,7 @@ import numpy as np
 
 from .configurator import ConfiguratorSettings, configure
 from .core import (
+    PROGRAMMING_ERRORS,
     Instance,
     InstanceGrouping,
     InstanceResult,
@@ -47,7 +47,8 @@ from .core import (
     RunStatus,
     Scenario,
     clamp_run,
-    penalized_score,
+    derive_seed,
+    par_score,
     portfolio_runtime,
     split_random_even,
 )
@@ -66,16 +67,6 @@ from .transfer import TransferReport, transfer_instances
 logger = logging.getLogger(__name__)
 
 ALL_METHODS = ("pcit", "pcrs", "global", "clustering", "parhydra")
-
-# raised by faulty code, not by a failing solver or backend: these end the
-# construction instead of excluding one repetition
-PROGRAMMING_ERRORS = (TypeError, AttributeError, NameError, AssertionError)
-
-
-def derive_seed(*parts) -> int:
-    """Stable 31-bit seed derived from arbitrary labels."""
-    digest = hashlib.sha256(repr(parts).encode()).digest()
-    return int.from_bytes(digest[:4], "big") % (2**31)
 
 
 @dataclass(frozen=True)
@@ -171,7 +162,9 @@ def validate_and_select(
     Each candidate spends at most ``t_v`` of per-core time (component time
     divided by portfolio width); instances are visited in one shared seeded
     order so partial validations stay paired, and candidates are compared on
-    the longest common prefix. Ties go to the lower index.
+    the longest common prefix. Ties go to the lower index. The run seed of
+    an instance is derived from ``seed`` and its id, so every candidate sees
+    the same seed on it.
     """
     if not portfolios:
         raise ValueError("no candidate portfolios")
@@ -184,9 +177,9 @@ def validate_and_select(
         results: list[InstanceResult] = []
         for instance in order:
             res = evaluate_portfolio(
-                backend, components, [instance], cutoff, seed,
-                ledger=ledger, charge="validation",
-            )[0]
+                backend, components, instance, cutoff, derive_seed(seed, instance.id),
+                ledger=ledger,
+            )
             results.append(res)
             consumed += res.cpu_cost / width
             if consumed >= t_v:
@@ -195,13 +188,7 @@ def validate_and_select(
     n_common = min(len(r) for r in all_results)
     if n_common == 0:
         return ValidationOutcome(0, (math.inf,) * len(portfolios), all_results[0], 0)
-    scores = tuple(
-        math.fsum(
-            penalized_score(r.status, r.runtime, cutoff, penalty) for r in results[:n_common]
-        )
-        / n_common
-        for results in all_results
-    )
+    scores = tuple(par_score(results[:n_common], cutoff, penalty) for results in all_results)
     best = min(range(len(scores)), key=lambda i: (scores[i], i))
     return ValidationOutcome(best, scores, all_results[best], n_common)
 
@@ -300,6 +287,10 @@ def construct_grouped(
     train_by_id = {ins.id: ins for ins in scenario.train_instances}
     features = scenario.train_features()
     rep_seeds = [derive_seed(seed, "rep", rep) for rep in range(plan.r)]
+    cores = cores or os.cpu_count() or 1
+    # concurrent repetitions share the cores, so at most ``cores`` subset
+    # configuration calls (and so solver runs) are in flight at once
+    subset_cores = max(1, cores // min(plan.r, cores))
 
     def one_rep(rep: int):
         rep_seed = rep_seeds[rep]
@@ -327,7 +318,7 @@ def construct_grouped(
                     settings=settings,
                 )
 
-            incumbents = _map_calls(conf_subset, scenario.k, backend, cores)
+            incumbents = _map_calls(conf_subset, scenario.k, backend, subset_cores)
             events.append(
                 {
                     "event": "phase_done",

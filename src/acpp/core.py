@@ -6,6 +6,7 @@ share across concurrent construction tasks.
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -14,6 +15,16 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 if TYPE_CHECKING:
     from .space import Configuration, ParameterSpace
+
+# raised by faulty code, not by a failing solver or backend: these propagate
+# instead of being scored as a crashed run or excluding one repetition
+PROGRAMMING_ERRORS = (TypeError, AttributeError, NameError, AssertionError)
+
+
+def derive_seed(*parts) -> int:
+    """Stable 31-bit seed derived from arbitrary labels."""
+    digest = hashlib.sha256(repr(parts).encode()).digest()
+    return int.from_bytes(digest[:4], "big") % (2**31)
 
 
 class RunStatus(Enum):

@@ -5,14 +5,13 @@ medians, timeout/PAR summaries, and the paired sign-flip permutation test.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .core import Instance, Portfolio, RunStatus, penalized_score
+from .core import Instance, Portfolio, RunStatus, derive_seed, par_score, penalized_score
 from .runner import Backend, BudgetLedger, evaluate_portfolio
 
 
@@ -73,28 +72,27 @@ def test_portfolio(
 ) -> TestReport:
     """Run the portfolio ``repetitions`` times per instance and report the
     per-instance median result (ordered by penalized score) plus the
-    #timeouts / PAR-10 / PAR-1 summary over those medians."""
+    #timeouts / PAR-10 / PAR-1 summary over those medians. Each run's seed
+    is derived from ``seed``, the instance id and the repetition."""
     if repetitions < 1 or repetitions % 2 == 0:
         raise ValueError("repetitions must be odd")
+    components = portfolio.components if isinstance(portfolio, Portfolio) else tuple(portfolio)
     per_instance: list[InstanceTestResult] = []
+    medians = []
     for instance in test_instances:
-        outcomes = []
-        for rep in range(repetitions):
-            res = evaluate_portfolio(
-                backend,
-                portfolio,
-                [instance],
-                cutoff,
-                seed + rep * 100_003,
+        outcomes = [
+            evaluate_portfolio(
+                backend, components, instance, cutoff, derive_seed(seed, instance.id, rep),
                 ledger=ledger,
-                charge="validation",
-            )[0]
-            outcomes.append(res)
+            )
+            for rep in range(repetitions)
+        ]
         ordered = sorted(
             outcomes,
             key=lambda r: (penalized_score(r.status, r.runtime, cutoff, 10), r.runtime),
         )
         median = ordered[repetitions // 2]
+        medians.append(median)
         per_instance.append(
             InstanceTestResult(
                 instance_id=instance.id,
@@ -106,12 +104,6 @@ def test_portfolio(
         )
     timeouts = sum(1 for r in per_instance if r.timed_out)
     crashed = sum(1 for r in per_instance if r.status is RunStatus.CRASHED)
-    par10 = math.fsum(
-        penalized_score(r.status, r.runtime, cutoff, 10) for r in per_instance
-    ) / len(per_instance)
-    par1 = math.fsum(
-        penalized_score(r.status, r.runtime, cutoff, 1) for r in per_instance
-    ) / len(per_instance)
     return TestReport(
         label=label,
         cutoff=cutoff,
@@ -119,8 +111,8 @@ def test_portfolio(
         per_instance=tuple(per_instance),
         timeouts=timeouts,
         crashed=crashed,
-        par10=par10,
-        par1=par1,
+        par10=par_score(medians, cutoff, 10),
+        par1=par_score(medians, cutoff, 1),
     )
 
 

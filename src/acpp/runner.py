@@ -25,9 +25,9 @@ from dataclasses import dataclass, field
 from typing import Protocol, Sequence
 
 from .core import (
+    PROGRAMMING_ERRORS,
     Instance,
     InstanceResult,
-    Portfolio,
     RunRecord,
     RunStatus,
     clamp_run,
@@ -100,14 +100,13 @@ def execute_run(
     *,
     store: RunDataStore | None = None,
     ledger: BudgetLedger | None = None,
-    charge: str = "configuration",
     phase: int | None = None,
     subset_index: int | None = None,
 ) -> RunRecord:
     """Run one configuration on one instance under the cutoff.
 
     The returned record is appended to the store and its runtime charged to
-    the ledger when those are given.
+    the ledger as configuration time when those are given.
     """
     if cutoff <= 0:
         raise ValueError("cutoff must be positive")
@@ -126,61 +125,56 @@ def execute_run(
     if store is not None:
         store.add(record, config)
     if ledger is not None:
-        ledger.charge(record.runtime, kind=charge, phase=None if phase is None else f"phase{phase}")
+        ledger.charge(record.runtime, phase=None if phase is None else f"phase{phase}")
     return record
 
 
 def evaluate_portfolio(
     backend: Backend,
-    portfolio: Portfolio | Sequence[Configuration],
-    instances: Sequence[Instance],
+    components: Sequence[Configuration],
+    instance: Instance,
     cutoff: float,
     seed: int,
     *,
     ledger: BudgetLedger | None = None,
-    charge: str = "validation",
-) -> list[InstanceResult]:
-    """Per-instance results of running all components in parallel.
+) -> InstanceResult:
+    """Result of running all components on one instance in parallel.
 
     Backends that expose ``run_portfolio`` (the external backend) race real
     processes with first-success cancellation; otherwise each component is
     evaluated independently and combined with ``portfolio_runtime``. A
-    component failure is scored as CRASHED for that component only.
+    backend exception scores that component CRASHED, except
+    ``PROGRAMMING_ERRORS``, which propagate. Component time is charged to
+    the ledger as validation time, one charge per component run in process.
     """
-    components = portfolio.components if isinstance(portfolio, Portfolio) else tuple(portfolio)
-    if not components:
-        raise ValueError("portfolio has no components")
-    results: list[InstanceResult] = []
-    for idx, instance in enumerate(instances):
-        if hasattr(backend, "run_portfolio"):
-            result = backend.run_portfolio(components, instance, cutoff, seed + idx)
-            if ledger is not None:
-                ledger.charge(result.cpu_cost, kind=charge)
-        else:
-            outcomes = []
-            cpu = 0.0
-            for j, comp in enumerate(components):
-                try:
-                    status, runtime = backend.run(comp, instance, cutoff, seed + idx)
-                except Exception:
-                    status, runtime = RunStatus.CRASHED, cutoff
-                status, runtime = clamp_run(status, runtime, cutoff)
-                outcomes.append((status, runtime))
-                cpu += runtime
-                if ledger is not None:
-                    # one metered charge per component run
-                    ledger.charge(runtime, kind=charge)
-            outcome = portfolio_runtime(outcomes, cutoff)
-            result = InstanceResult(
-                instance_id=instance.id,
-                status=outcome.status,
-                runtime=outcome.runtime,
-                cutoff=cutoff,
-                component_index=outcome.winner,
-                cpu_cost=cpu,
-            )
-        results.append(result)
-    return results
+    if hasattr(backend, "run_portfolio"):
+        result = backend.run_portfolio(components, instance, cutoff, seed)
+        if ledger is not None:
+            ledger.charge(result.cpu_cost, kind="validation")
+        return result
+    outcomes = []
+    cpu = 0.0
+    for comp in components:
+        try:
+            status, runtime = backend.run(comp, instance, cutoff, seed)
+        except PROGRAMMING_ERRORS:
+            raise
+        except Exception:
+            status, runtime = RunStatus.CRASHED, cutoff
+        status, runtime = clamp_run(status, runtime, cutoff)
+        outcomes.append((status, runtime))
+        cpu += runtime
+        if ledger is not None:
+            ledger.charge(runtime, kind="validation")
+    outcome = portfolio_runtime(outcomes, cutoff)
+    return InstanceResult(
+        instance_id=instance.id,
+        status=outcome.status,
+        runtime=outcome.runtime,
+        cutoff=cutoff,
+        component_index=outcome.winner,
+        cpu_cost=cpu,
+    )
 
 
 @dataclass
@@ -203,25 +197,32 @@ class ExternalBackend:
             argv.extend([f"--{name}", format_value(value)])
         return argv
 
-    def run(
+    def _spawn(
         self, config: Configuration, instance: Instance, cutoff: float, seed: int
-    ) -> tuple[RunStatus, float]:
-        argv = self._argv(config, instance, cutoff, seed)
-        start = time.monotonic()
-        proc = subprocess.Popen(
-            argv,
+    ) -> subprocess.Popen:
+        return subprocess.Popen(
+            self._argv(config, instance, cutoff, seed),
             stdout=subprocess.PIPE,
             stderr=subprocess.DEVNULL,
             text=True,
             start_new_session=True,
         )
+
+    def _wait(self, proc: subprocess.Popen, cutoff: float, start: float) -> tuple[RunStatus, float]:
+        """The wrapper's result, or TIMEOUT once it has overrun the cutoff
+        by the grace period, at which point its process group is killed."""
         try:
             stdout, _ = proc.communicate(timeout=cutoff + self.grace)
         except subprocess.TimeoutExpired:
             _kill_process_group(proc)
             return RunStatus.TIMEOUT, cutoff
-        elapsed = time.monotonic() - start
-        return _parse_result(stdout, cutoff, elapsed)
+        return _parse_result(stdout, cutoff, time.monotonic() - start)
+
+    def run(
+        self, config: Configuration, instance: Instance, cutoff: float, seed: int
+    ) -> tuple[RunStatus, float]:
+        start = time.monotonic()
+        return self._wait(self._spawn(config, instance, cutoff, seed), cutoff, start)
 
     def run_portfolio(
         self,
@@ -231,40 +232,28 @@ class ExternalBackend:
         seed: int,
     ) -> InstanceResult:
         """Race one process per component; the rest are terminated when the
-        first one solves the instance."""
+        first one solves the instance. A wrapper that cannot start scores
+        its component CRASHED."""
         procs: list[subprocess.Popen | None] = [None] * len(components)
         outcomes: list[tuple[RunStatus, float]] = [(RunStatus.TIMEOUT, cutoff)] * len(components)
         first_solved = threading.Event()
         lock = threading.Lock()
 
         def work(j: int, comp: Configuration) -> None:
-            argv = self._argv(comp, instance, cutoff, seed)
             start = time.monotonic()
             try:
-                proc = subprocess.Popen(
-                    argv,
-                    stdout=subprocess.PIPE,
-                    stderr=subprocess.DEVNULL,
-                    text=True,
-                    start_new_session=True,
-                )
+                proc = self._spawn(comp, instance, cutoff, seed)
             except OSError:
                 outcomes[j] = (RunStatus.CRASHED, cutoff)
                 return
             with lock:
                 procs[j] = proc
             try:
-                stdout, _ = proc.communicate(timeout=cutoff + self.grace)
-            except subprocess.TimeoutExpired:
-                _kill_process_group(proc)
-                outcomes[j] = (RunStatus.TIMEOUT, cutoff)
-                return
+                status, runtime = self._wait(proc, cutoff, start)
             except (OSError, ValueError):
                 # terminated by the winning component while we were reading
                 outcomes[j] = (RunStatus.TIMEOUT, min(time.monotonic() - start, cutoff))
                 return
-            elapsed = time.monotonic() - start
-            status, runtime = _parse_result(stdout, cutoff, elapsed)
             outcomes[j] = (status, runtime)
             if status is RunStatus.SOLVED and not first_solved.is_set():
                 first_solved.set()

@@ -1,6 +1,7 @@
 import logging
 import math
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -121,6 +122,27 @@ class TestValidation:
         syn = tiny_synthetic()
         with pytest.raises(ValueError):
             validate_and_select([], syn.scenario.train_instances, 1.0, 30.0, 10, 0, syn.backend())
+
+    def test_run_seeds_are_per_instance(self):
+        from acpp.space import make_config
+        syn = tiny_synthetic()
+        sc = syn.scenario
+        backend = syn.backend()
+        seeds = {}
+        solve = backend.run
+
+        def run(config, instance, cutoff, seed):
+            seeds.setdefault(instance.id, set()).add(seed)
+            return solve(config, instance, cutoff, seed)
+
+        backend.run = run
+        cands = [[make_config(sc.space, {"strategy": v})] for v in ("s00", "s01")]
+        validate_and_select(cands, sc.train_instances, 1e9, sc.cutoff, 10, 4, backend)
+        forward, seeds = seeds, {}
+        validate_and_select(cands, sc.train_instances[::-1], 1e9, sc.cutoff, 10, 4, backend)
+        assert seeds == forward
+        assert all(len(s) == 1 for s in forward.values())  # candidates stay paired
+        assert len(set().union(*forward.values())) == len(sc.train_instances)
 
 
 class TestKMeans:
@@ -311,6 +333,32 @@ class TestScheduleIndependence:
             assert other.portfolio.components == serial.portfolio.components
             assert other.validation_scores == serial.validation_scores
             assert other.selected_grouping == serial.selected_grouping
+
+    @pytest.mark.parametrize("cores", [2, 3])
+    def test_cores_bound_concurrent_solver_runs(self, cores, monkeypatch):
+        syn = tiny_synthetic(seed=18, families=2, configs=6, train=16, k=2)
+        plan = plan_budget("pcrs", 2, 300.0, 100.0, 2)
+        monkeypatch.setattr(constructors, "ExternalBackend", SyntheticBackend)
+        backend = syn.backend()
+        solve = backend.run
+        lock = threading.Lock()
+        in_flight = [0]
+        peak = [0]
+
+        def run(*args):
+            with lock:
+                in_flight[0] += 1
+                peak[0] = max(peak[0], in_flight[0])
+            try:
+                time.sleep(0.001)
+                return solve(*args)
+            finally:
+                with lock:
+                    in_flight[0] -= 1
+
+        backend.run = run
+        construct_pcrs(syn.scenario, plan, 5, backend, settings=FAST, cores=cores)
+        assert 2 <= peak[0] <= cores
 
     def test_in_process_backend_runs_calls_in_order_on_calling_thread(self):
         calls = []

@@ -101,6 +101,24 @@ class TestTestPortfolio:
         bw = {r.instance_id: r.runtime for r in backward.per_instance}
         assert fw == bw
 
+    def test_run_seeds_differ_per_instance_and_repetition(self, space):
+        seeds = {}
+
+        class RecordingBackend:
+            label = "recording"
+
+            def run(self, config, instance, cutoff, seed):
+                seeds.setdefault(instance.id, []).append(seed)
+                return RunStatus.SOLVED, 1.0
+
+        config = make_config(space, {"strategy": "fast"})
+        instances = [Instance(f"i{j}") for j in range(6)]
+        run_test_protocol(RecordingBackend(), [config], instances, 60.0, seed=3)
+        forward, seeds = seeds, {}
+        run_test_protocol(RecordingBackend(), [config], list(reversed(instances)), 60.0, seed=3)
+        assert seeds == forward
+        assert len({s for runs in forward.values() for s in runs}) == 6 * 3
+
 
 class TestPermutationTest:
     def test_identical_inputs_give_p_one(self):

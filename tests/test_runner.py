@@ -90,7 +90,7 @@ class TestPortfolioEvaluation:
     def test_first_solver_wins(self, space):
         backend = SyntheticBackend(manual_spec(fast=3.0, slow=9.0, cutoff=20.0))
         components = [make_config(space, {"strategy": "slow"}), make_config(space, {"strategy": "fast"})]
-        (result,) = evaluate_portfolio(backend, components, [Instance("i1")], 20.0, 0)
+        result = evaluate_portfolio(backend, components, Instance("i1"), 20.0, 0)
         assert result.status is RunStatus.SOLVED
         assert result.runtime == pytest.approx(3.0)
         assert result.component_index == 1
@@ -98,7 +98,7 @@ class TestPortfolioEvaluation:
     def test_all_timeout(self, space):
         backend = SyntheticBackend(manual_spec(fast=50.0, slow=70.0, cutoff=20.0))
         components = [make_config(space, {"strategy": "fast"}), make_config(space, {"strategy": "slow"})]
-        (result,) = evaluate_portfolio(backend, components, [Instance("i1")], 20.0, 0)
+        result = evaluate_portfolio(backend, components, Instance("i1"), 20.0, 0)
         assert result.status is RunStatus.TIMEOUT
         assert result.runtime == 20.0
 
@@ -111,9 +111,7 @@ class TestPortfolioEvaluation:
 
         components = [make_config(space, {"strategy": "fast"})]
         ledger = BudgetLedger()
-        (result,) = evaluate_portfolio(
-            LateSolver(), components, [Instance("i1")], 20.0, 0, ledger=ledger
-        )
+        result = evaluate_portfolio(LateSolver(), components, Instance("i1"), 20.0, 0, ledger=ledger)
         assert (result.status, result.runtime) == (RunStatus.TIMEOUT, 20.0)
         assert penalized_score(result.status, result.runtime, 20.0, 10) == 200.0
         assert ledger.validation_time == 20.0
@@ -130,12 +128,41 @@ class TestPortfolioEvaluation:
         backend = SyntheticBackend(spec)
         components = [make_config(wide, {"strategy": f"v{j}"}) for j in range(8)]
         ledger = BudgetLedger()
-        results = evaluate_portfolio(
-            backend, components, [Instance(f"i{j}") for j in range(10)], 20.0, 0, ledger=ledger
-        )
-        assert len(results) == 10
+        for j in range(10):
+            evaluate_portfolio(backend, components, Instance(f"i{j}"), 20.0, 0, ledger=ledger)
         assert ledger.n_runs == 80  # every component run metered
         assert ledger.validation_time == pytest.approx(160.0)
+
+    def test_programming_error_propagates(self, space):
+        class FaultyBackend:
+            label = "faulty"
+
+            def run(self, config, instance, cutoff, seed):
+                raise TypeError("faulty backend code")
+
+        components = [make_config(space, {"strategy": "fast"})]
+        with pytest.raises(TypeError, match="faulty backend code"):
+            evaluate_portfolio(FaultyBackend(), components, Instance("i1"), 10.0, 0)
+
+    def test_backend_failure_crashes_one_component(self, space):
+        solver = SyntheticBackend(manual_spec(fast=3.0, slow=9.0, cutoff=20.0))
+        calls = []
+
+        class FlakyBackend:
+            label = "flaky"
+
+            def run(self, config, instance, cutoff, seed):
+                calls.append(config["strategy"])
+                if config["strategy"] == "fast":
+                    raise RuntimeError("solver exploded")
+                return solver.run(config, instance, cutoff, seed)
+
+        components = [make_config(space, {"strategy": "fast"}), make_config(space, {"strategy": "slow"})]
+        ledger = BudgetLedger()
+        result = evaluate_portfolio(FlakyBackend(), components, Instance("i1"), 20.0, 0, ledger=ledger)
+        assert calls == ["fast", "slow"]
+        assert (result.status, result.runtime, result.component_index) == (RunStatus.SOLVED, 9.0, 1)
+        assert result.cpu_cost == ledger.validation_time == 29.0  # the crash is charged the cutoff
 
 
 def make_wrapper(tmp_path, body):
@@ -239,7 +266,7 @@ class TestExternalBackend:
         backend = ExternalBackend(wrapper, grace=0.5)
         components = [make_config(space, {"strategy": "slow"}), make_config(space, {"strategy": "fast"})]
         started = time.monotonic()
-        (result,) = evaluate_portfolio(backend, components, [Instance("i1")], 8.0, 0)
+        result = evaluate_portfolio(backend, components, Instance("i1"), 8.0, 0)
         elapsed = time.monotonic() - started
         assert result.status is RunStatus.SOLVED
         assert result.component_index == 1
