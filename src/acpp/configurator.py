@@ -15,7 +15,10 @@ incumbent's mean estimate never gets worse at a handover.
 
 All runs go through an evaluator that appends to the shared rundata store
 and charges the ledger; the model is fit on this call's own runs, which
-keeps concurrent per-subset configuration deterministic.
+keeps concurrent per-subset configuration deterministic. Fits are lazy: a
+refit draws its seed and fixes its row count when it is due, but the forest
+is grown only when a model-greedy proposal first needs it, so a refit that
+is replaced before any proposal uses it costs nothing.
 """
 
 from __future__ import annotations
@@ -137,7 +140,8 @@ def configure(
     last_fit = 0
     own_rows: list[np.ndarray] = []
     own_targets: list[float] = []
-    model: PerformanceModel | None = None
+    refit: tuple[int, int] | None = None  # (row count, seed) of the latest refit
+    model: PerformanceModel | None = None  # grown from ``refit`` when first needed
     use_model_next = False
     column_kinds = encoding_kinds(space) + ("num",) * feature_dim
     plan = space.sampling_plan
@@ -170,7 +174,7 @@ def configure(
         return penalized_score(record.status, record.runtime, record.cutoff, penalty)
 
     def maybe_refit() -> None:
-        nonlocal model, last_fit
+        nonlocal refit, model, last_fit
         gap = max(settings.refit_interval, int(last_fit * (settings.refit_growth - 1.0)))
         if runs_done - last_fit < gap or len(own_targets) < 5:
             return
@@ -178,19 +182,12 @@ def configure(
         targets = np.array(own_targets)
         if np.all(targets == targets[0]):
             return
-        model = fit_forest(
-            np.vstack(own_rows),
-            targets,
-            column_kinds,
-            settings.forest,
-            seed=rng.randrange(2**31),
-            feature_dim=feature_dim,
-            space=space,
-        )
+        refit = (len(own_rows), rng.randrange(2**31))
+        model = None
 
     def propose() -> Configuration:
-        nonlocal use_model_next
-        use_model = use_model_next and model is not None
+        nonlocal use_model_next, model
+        use_model = use_model_next and refit is not None
         use_model_next = not use_model_next
         if not use_model:
             return sample_config(space, rng)
@@ -204,6 +201,17 @@ def configure(
                 pool[values] = None
         if not pool:
             return sample_config(space, rng)
+        if model is None:
+            n_rows, fit_seed = refit
+            model = fit_forest(
+                np.vstack(own_rows[:n_rows]),
+                np.array(own_targets[:n_rows]),
+                column_kinds,
+                settings.forest,
+                seed=fit_seed,
+                feature_dim=feature_dim,
+                space=space,
+            )
         candidates = list(pool)
         sample = rng.sample(order, min(len(order), settings.score_instance_sample))
         cand_block = plan.encode(candidates)

@@ -152,10 +152,14 @@ def permutation_test(
     n = len(diffs)
     hits = 0
     remaining = n_permutations
-    batch = max(1, min(remaining, 20_000_000 // max(n, 1)))
+    # blocks of at most 2**20 signs: successive draws continue one stream,
+    # so the blocking does not change which signs are drawn
+    batch = max(1, (1 << 20) // n)
     while remaining > 0:
         m = min(batch, remaining)
-        signs = rng.integers(0, 2, size=(m, n)) * 2 - 1
+        signs = rng.integers(0, 2, size=(m, n)).astype(np.float64)
+        signs *= 2
+        signs -= 1
         means = np.abs(signs @ diffs) / n
         hits += int((means >= observed).sum())
         remaining -= m

@@ -10,6 +10,12 @@ values are present and on a by-target-mean ordering otherwise.
 Training rows are put into a canonical order and per-tree seeds are derived
 from the master seed, so fitting is invariant to record order and to any
 training-thread schedule.
+
+Every split node draws its candidate columns as
+``rng.choice(n_cols, size=n_try, replace=False)`` would: ``_ColumnDraw``
+mirrors numpy's ``Generator.choice`` algorithm on the tree generator's
+PCG64 stream, so the trees are the ones that call grows, at a fraction of
+its cost.
 """
 
 from __future__ import annotations
@@ -38,6 +44,109 @@ LOG_FLOOR = 1e-3  # scores are clamped here before the log transform
 # samples, is grown with Python lists: below it a numpy call costs more in
 # overhead than the loop it replaces
 SMALL_NODE_CELLS = 512
+
+_MASK32 = 0xFFFFFFFF
+
+
+class _ColumnDraw:
+    """Repeated ``rng.choice(n, size=k, replace=False)`` on one PCG64
+    generator: the same lists, from the same stream, at a quarter of the cost.
+
+    ``Generator.choice`` (checked against numpy 2.4 by the tests; its
+    tail-shuffle branch above 10,000 items is not reproduced) samples by
+    Floyd's algorithm and then shuffles the sample, one Lemire bounded draw
+    per step on the generator's 32-bit stream. PCG64 serves that stream as
+    the low, then the high half of each 64-bit output, and keeps an unused
+    high half in ``has_uint32``/``uinteger``. Outputs are read here in
+    blocks with ``random_raw``, which bypasses that buffer, so the generator
+    must not be used between the first ``sample`` and ``close``; ``close``
+    rewinds it to just after the last output used and restores the buffer.
+    """
+
+    def __init__(self, rng: np.random.Generator, n: int, k: int):
+        bit_gen = rng.bit_generator
+        if type(bit_gen) is not np.random.PCG64:
+            raise TypeError(f"the column draw needs PCG64, not {type(bit_gen).__name__}")
+        if not 0 < k <= n <= 10_000:
+            raise ValueError(f"cannot draw {k} of {n} columns")
+        self._bit_gen = bit_gen
+        self._start: dict | None = None  # generator state at the first draw
+        self._words: list[int] = []
+        self._pos = 0  # words used
+        self._fetched = 0  # 64-bit outputs read
+        # Floyd: for j in [n - k, n), draw v in [0, j], keep v unless it was
+        # drawn already, then j; a bound of 0 takes no draw. Then the shuffle:
+        # for i from k - 1 down to 1, swap i with a draw in [0, i].
+        self._first = [0] if k == n else []
+        self._floyd = [(j, j + 1) for j in range(max(n - k, 1), n)]
+        self._shuffle = [(i, i + 1) for i in range(k - 1, 0, -1)]
+        self._need = len(self._floyd) + len(self._shuffle)
+
+    def _refill(self) -> None:
+        if self._start is None:
+            self._start = self._bit_gen.state
+            if self._start["has_uint32"]:
+                self._words.append(self._start["uinteger"])
+        block = max(64, self._fetched)
+        raw = self._bit_gen.random_raw(block).astype("<u8")
+        self._words += raw.view("<u4").tolist()
+        self._fetched += block
+
+    def _redraw(self, m: int, excl: int) -> int:
+        """Lemire's rejection loop, entered when the low word of ``m`` fell
+        below ``excl``."""
+        threshold = (1 << 32) % excl
+        while m & _MASK32 < threshold:
+            if self._pos == len(self._words):
+                self._refill()
+            m = self._words[self._pos] * excl
+            self._pos += 1
+        return m
+
+    def sample(self) -> list[int]:
+        if len(self._words) - self._pos < self._need:
+            self._refill()
+        words, pos = self._words, self._pos
+        out = self._first[:]
+        for j, excl in self._floyd:
+            m = words[pos] * excl
+            pos += 1
+            if m & _MASK32 < excl:
+                self._pos = pos
+                m = self._redraw(m, excl)
+                pos = self._pos
+            v = m >> 32
+            out.append(j if v in out else v)
+        for i, excl in self._shuffle:
+            m = words[pos] * excl
+            pos += 1
+            if m & _MASK32 < excl:
+                self._pos = pos
+                m = self._redraw(m, excl)
+                pos = self._pos
+            j = m >> 32
+            out[i], out[j] = out[j], out[i]
+        self._pos = pos
+        return out
+
+    def close(self) -> None:
+        """Leave the generator as the ``rng.choice`` calls would have."""
+        start = self._start
+        if start is None:
+            return  # nothing drawn
+        stream_words = self._pos - start["has_uint32"]
+        bit_gen = self._bit_gen
+        bit_gen.state = start
+        bit_gen.advance((stream_words + 1) // 2)
+        state = bit_gen.state
+        if stream_words % 2:
+            # the high half of the last output used is still buffered
+            state["has_uint32"], state["uinteger"] = 1, self._words[self._pos]
+        else:
+            # a consumed buffer keeps its stale word
+            state["has_uint32"], state["uinteger"] = 0, self._words[self._pos - 1]
+        bit_gen.state = state
+
 
 @dataclass(frozen=True)
 class ForestParams:
@@ -218,6 +327,8 @@ def fit_forest(
 ) -> PerformanceModel:
     if params.n_trees < 1:
         raise ValueError("need at least one tree")
+    if not np.isfinite(X).all():
+        raise ValueError("training rows must be finite")
     seed_seq = np.random.SeedSequence(seed)
     tree_seeds = seed_seq.spawn(params.n_trees)
     cat_cols = np.array([kind == "cat" for kind in column_kinds])
@@ -254,44 +365,31 @@ def _grow_tree(
     """Grow one regression tree on the sample rows ``idx`` (in draw order).
 
     Nodes are grown depth first, left child first, and every node large
-    enough to split draws its candidate columns with one ``rng.choice``.
+    enough to split draws its candidate columns as one
+    ``rng.choice(n_cols, size=n_try, replace=False)`` would.
 
-    The sample is held as one table with a column per draw, and a node owns
-    the table columns ``[lo, hi)``. The first rows hold, in draw order, the
-    target, every feature (category codes for categorical ones) and the
-    draw position. Then come, for every numeric feature, the positions,
-    values and targets sorted by that feature, ties in draw order. Each
-    feature is thus sorted once per tree; a split partitions every row
-    stably in place, so the sorted rows stay sorted. A node small enough
-    (``SMALL_NODE_CELLS``) takes its segment out as Python lists and grows
-    its whole subtree on those, with the same arithmetic in the same order.
+    A node small enough (``SMALL_NODE_CELLS``) grows its whole subtree on
+    Python lists, with the same arithmetic in the same order: it keeps its
+    samples in draw order and sorts them by a drawn numeric feature when it
+    scores that feature, ties in draw order. A sample that small enters
+    there at the root. A larger one is held as one table with a column per
+    draw, and a node owns the table columns ``[lo, hi)``. The first rows
+    hold, in draw order, the target, every feature (category codes for
+    categorical ones) and the draw position. Then come, for every numeric
+    feature, the positions, values and targets sorted by that feature, ties
+    in draw order. Each feature is thus sorted once per tree; a split
+    partitions every row stably in place, so the sorted rows stay sorted.
     """
     n_cols = X.shape[1]
     num_cols = np.flatnonzero(~cat_cols)
     n_num = len(num_cols)
     n = len(idx)
-    Xs = X[idx].T
+    Xs = np.asarray(X[idx], dtype=float).T
+    Xs[cat_cols] -= SENTINEL
     ys = y[idx]
-    ranks = np.argsort(Xs[num_cols], axis=1, kind="mergesort")
-    feat, pos_row = 1, 1 + n_cols  # row 0 is the target
-    sorted_pos, sorted_x, sorted_y = pos_row + 1, pos_row + 1 + n_num, pos_row + 1 + 2 * n_num
-    table = np.empty((sorted_y + n_num, n))
-    table[0] = ys
-    table[feat:pos_row] = Xs
-    table[feat:pos_row][cat_cols] -= SENTINEL
-    table[pos_row] = np.arange(n)
-    table[sorted_pos:sorted_x] = ranks
-    table[sorted_x:sorted_y] = np.take_along_axis(Xs[num_cols], ranks, axis=1)
-    table[sorted_y:] = ys[ranks]
-    # row of the split flags (0: draw order, 1 + i: sorted by numeric i) per table row
-    flag_row = np.concatenate(
-        (np.zeros(sorted_pos, dtype=np.intp), np.tile(np.arange(1, n_num + 1), 3))
-    )
-    sorted_index = np.zeros(n_cols, dtype=np.intp)
-    sorted_index[num_cols] = np.arange(n_num)
-    n_codes = int(table[feat:pos_row][cat_cols].max(initial=0)) + 1
-    goes_left = np.empty(n, dtype=bool)
+    n_codes = int(Xs[cat_cols].max(initial=0)) + 1
     n_try = min(n_cols, params.n_split_features(n_cols))
+    draw = _ColumnDraw(rng, n_cols, n_try)
     min_leaf = params.min_leaf
     small_node = min(128, SMALL_NODE_CELLS // n_cols)  # _pairwise_sum takes <= 128
 
@@ -301,13 +399,68 @@ def _grow_tree(
     children: list[tuple[int, int]] = []
     value: list[float] = []
 
+    def build_small(samples: list[int], data) -> int:
+        ys_, xs_, codes_ = data
+        node = len(feature)
+        feature.append(-1)
+        threshold.append(0.0)
+        left_codes.append(None)
+        children.append((-1, -1))
+        m = len(samples)
+        targets = list(map(ys_.__getitem__, samples))
+        # an empty node has a nan mean, as numpy's division gives
+        value.append((0.0 + _pairwise_sum(targets)) / m if m else math.nan)
+        if m < 2 * min_leaf or targets.count(targets[0]) == m:
+            return node
+        best = None
+        best_sse = math.inf
+        for col in draw.sample():
+            if cat_cols[col]:
+                codes = list(map(codes_[col].__getitem__, samples))
+                result = _best_categorical_split_py(codes, targets, n_codes, params)
+                if result is not None and result[0] < best_sse:
+                    best_sse = result[0]
+                    best = (col, 0.0, result[1])
+                continue
+            values = xs_[col]
+            order = sorted(samples, key=values.__getitem__)
+            result = _best_numeric_split_py(
+                list(map(values.__getitem__, order)), list(map(ys_.__getitem__, order)), min_leaf
+            )
+            if result is not None and result[0] < best_sse:
+                best_sse = result[0]
+                best = (col, result[1], None)
+        if best is None:
+            return node
+        col, thr, cats = best
+        if cats is None:
+            values = xs_[col]
+            left_samples = [i for i in samples if values[i] <= thr]
+            right_samples = [i for i in samples if not values[i] <= thr]
+        else:
+            in_left, codes = cats.tolist(), codes_[col]
+            left_samples = [i for i in samples if in_left[codes[i]]]
+            right_samples = [i for i in samples if not in_left[codes[i]]]
+        feature[node] = col
+        threshold[node] = thr
+        left_codes[node] = cats
+        left_child = build_small(left_samples, data)
+        right_child = build_small(right_samples, data)
+        children[node] = (left_child, right_child)
+        return node
+
+    def grow_on_lists(targets: np.ndarray, feats: np.ndarray) -> int:
+        """Grow the subtree of these samples, given in draw order, on lists."""
+        data = (targets.tolist(), feats.tolist(), feats.astype(np.intp).tolist())
+        return build_small(list(range(len(targets))), data)
+
     def best_split(lo: int, hi: int, targets: np.ndarray):
         """First strictly best (column, threshold, left codes) over the drawn
         columns, or None when none of them can be split."""
         best = None
         best_sse = math.inf
         numeric = None
-        for col in rng.choice(n_cols, size=n_try, replace=False).tolist():
+        for col in draw.sample():
             if cat_cols[col]:
                 codes = table[feat + col, lo:hi].astype(np.intp)
                 result = _best_categorical_split(codes, targets, n_codes, params)
@@ -328,7 +481,7 @@ def _grow_tree(
 
     def build(lo: int, hi: int) -> int:
         if hi - lo <= small_node:
-            return build_small(*take_lists(lo, hi))
+            return grow_on_lists(table[0, lo:hi], table[feat:pos_row, lo:hi])
         node = len(feature)
         feature.append(-1)
         threshold.append(0.0)
@@ -364,77 +517,29 @@ def _grow_tree(
         children[node] = (left_child, right_child)
         return node
 
-    local = np.empty(n, dtype=np.intp)
-
-    def take_lists(lo: int, hi: int):
-        """The segment as lists indexed by draw order within it: samples,
-        orders sorted by each numeric feature, and the per-sample data."""
-        segment = table[:, lo:hi]
-        local[segment[pos_row].astype(np.intp)] = np.arange(hi - lo)
-        orders = local[segment[sorted_pos:sorted_x].astype(np.intp)].tolist()
-        data = (
-            segment[0].tolist(),
-            segment[feat:pos_row].tolist(),
-            segment[feat:pos_row].astype(np.intp).tolist(),
-            [False] * (hi - lo),
+    if n <= small_node:
+        # a sample this small never needs the table
+        grow_on_lists(ys, Xs)
+    else:
+        ranks = np.argsort(Xs[num_cols], axis=1, kind="mergesort")
+        feat, pos_row = 1, 1 + n_cols  # row 0 is the target
+        sorted_pos, sorted_x, sorted_y = pos_row + 1, pos_row + 1 + n_num, pos_row + 1 + 2 * n_num
+        table = np.empty((sorted_y + n_num, n))
+        table[0] = ys
+        table[feat:pos_row] = Xs
+        table[pos_row] = np.arange(n)
+        table[sorted_pos:sorted_x] = ranks
+        table[sorted_x:sorted_y] = np.take_along_axis(Xs[num_cols], ranks, axis=1)
+        table[sorted_y:] = ys[ranks]
+        # row of the split flags (0: draw order, 1 + i: sorted by numeric i) per table row
+        flag_row = np.concatenate(
+            (np.zeros(sorted_pos, dtype=np.intp), np.tile(np.arange(1, n_num + 1), 3))
         )
-        return list(range(hi - lo)), orders, data
-
-    def build_small(samples: list[int], orders: list[list[int]], data) -> int:
-        ys_, xs_, codes_, goes_left_ = data
-        node = len(feature)
-        feature.append(-1)
-        threshold.append(0.0)
-        left_codes.append(None)
-        children.append((-1, -1))
-        m = len(samples)
-        targets = [ys_[i] for i in samples]
-        # an empty node has a nan mean, as numpy's division gives
-        value.append((0.0 + _pairwise_sum(targets)) / m if m else math.nan)
-        if m < 2 * min_leaf or targets.count(targets[0]) == m:
-            return node
-        best = None
-        best_sse = math.inf
-        for col in rng.choice(n_cols, size=n_try, replace=False).tolist():
-            if cat_cols[col]:
-                codes = [codes_[col][i] for i in samples]
-                result = _best_categorical_split_py(codes, targets, n_codes, params)
-                if result is not None and result[0] < best_sse:
-                    best_sse = result[0]
-                    best = (col, 0.0, result[1])
-                continue
-            order = orders[sorted_index[col]]
-            values = xs_[col]
-            result = _best_numeric_split_py(
-                [values[i] for i in order], [ys_[i] for i in order], min_leaf
-            )
-            if result is not None and result[0] < best_sse:
-                best_sse = result[0]
-                best = (col, result[1], None)
-        if best is None:
-            return node
-        col, thr, cats = best
-        if cats is None:
-            values = xs_[col]
-            for i in samples:
-                goes_left_[i] = values[i] <= thr
-        else:
-            in_left, codes = cats.tolist(), codes_[col]
-            for i in samples:
-                goes_left_[i] = in_left[codes[i]]
-        left_samples = [i for i in samples if goes_left_[i]]
-        right_samples = [i for i in samples if not goes_left_[i]]
-        left_orders = [[i for i in order if goes_left_[i]] for order in orders]
-        right_orders = [[i for i in order if not goes_left_[i]] for order in orders]
-        feature[node] = col
-        threshold[node] = thr
-        left_codes[node] = cats
-        left_child = build_small(left_samples, left_orders, data)
-        right_child = build_small(right_samples, right_orders, data)
-        children[node] = (left_child, right_child)
-        return node
-
-    build(0, n)
+        sorted_index = np.zeros(n_cols, dtype=np.intp)
+        sorted_index[num_cols] = np.arange(n_num)
+        goes_left = np.empty(n, dtype=bool)
+        build(0, n)
+    draw.close()
     categorical = np.array([cats is not None for cats in left_codes])
     code_table = np.zeros((len(feature), n_codes), dtype=bool)
     if categorical.any():

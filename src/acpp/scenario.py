@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -69,9 +70,12 @@ def _read_features(path: Path) -> tuple[dict[str, tuple[float, ...]], int]:
             if len(row) != dim + 1:
                 raise ScenarioError(f"{path} line {row_no}: expected {dim + 1} columns")
             try:
-                table[row[0]] = tuple(float(x) for x in row[1:])
+                values = tuple(float(x) for x in row[1:])
             except ValueError as exc:
                 raise ScenarioError(f"{path} line {row_no}: {exc}") from exc
+            if not all(map(math.isfinite, values)):
+                raise ScenarioError(f"{path} line {row_no}: feature values must be finite")
+            table[row[0]] = values
     return table, dim
 
 

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from acpp.cli import parse_duration, read_portfolio, run_command
-from acpp.scenario import load_scenario
+from acpp.scenario import ScenarioError, load_scenario
 from acpp.synthetic import generate_synthetic_scenario, write_scenario_files
 
 
@@ -71,6 +71,21 @@ class TestSynthGen:
         assert len(bundle.scenario.test_instances) == 10
         backend = bundle.make_backend()
         assert backend.label == "synthetic"
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_feature_rejected(self, tmp_path, bad):
+        run_command(
+            ["synth-gen", "--families", "2", "--configs", "4", "--instances", "10",
+             "--seed", "3", "--out-dir", str(tmp_path)]
+        )
+        features = tmp_path / "features.csv"
+        lines = features.read_text().splitlines()
+        cells = lines[3].split(",")
+        cells[-1] = bad
+        lines[3] = ",".join(cells)
+        features.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ScenarioError, match=r"features\.csv line 4: .*finite"):
+            load_scenario(tmp_path / "scenario.json")
 
 
 @pytest.fixture(scope="module")

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from acpp import configurator
 from acpp.configurator import ConfiguratorSettings, configure
 from acpp.core import Instance, Metric, RunStatus
-from acpp.perfmodel import ForestParams
+from acpp.perfmodel import ForestParams, PerformanceModel
 from acpp.rundata import RunDataStore
 from acpp.runner import BudgetLedger
 from acpp.space import default_config, enumerate_configs, make_config, parse_space
@@ -219,3 +220,60 @@ class TestPinnedNumericSearch:
             backend=backend, settings=ACCEPTANCE_FAST,
         )
         assert (result.config_id, len(store)) == self.PINNED[seed]
+
+
+class TestLazyFits:
+    """A due refit draws its seed and fixes its rows; the forest is grown
+    only when a model-greedy proposal first needs it."""
+
+    @staticmethod
+    def track(monkeypatch):
+        """Models grown by ``configure``, and the models that scored a pool."""
+        grown, served = [], []
+        fit_forest, predict = configurator.fit_forest, PerformanceModel.predict_transformed
+
+        def counting_fit(*args, **kwargs):
+            grown.append(fit_forest(*args, **kwargs))
+            return grown[-1]
+
+        def recording_predict(model, X):
+            served.append(model)
+            return predict(model, X)
+
+        monkeypatch.setattr(configurator, "fit_forest", counting_fit)
+        monkeypatch.setattr(PerformanceModel, "predict_transformed", recording_predict)
+        return grown, served
+
+    # in each of these searches, fitting at every due refit grows one model
+    # that is replaced before any proposal uses it
+    @pytest.mark.parametrize(
+        "settings, seed", [(ACCEPTANCE_FAST, 3), (FAST_SETTINGS, 0), (FAST_SETTINGS, 2)]
+    )
+    def test_every_grown_model_serves_a_proposal(self, monkeypatch, settings, seed):
+        grown, served = self.track(monkeypatch)
+        space, instances, backend, cutoff = numeric_scenario()
+        configure(
+            space, instances, cutoff, 1500.0, Metric.PAR10, RunDataStore(), seed,
+            backend=backend, settings=settings,
+        )
+        assert grown
+        assert all(any(user is model for user in served) for model in grown)
+
+    def test_no_model_grown_when_no_pool_needs_one(self, monkeypatch):
+        # one configuration: every pool is empty, so refits fall due on
+        # varied targets but no proposal ever scores with a model
+        grown, served = self.track(monkeypatch)
+        space = parse_space("strategy categorical {v0} [v0]\n")
+        ids = [f"i{j}" for j in range(30)]
+        spec = SyntheticScenarioSpec(
+            instance_family={i: 0 for i in ids}, cost_table=((2.0,),), values=("v0",),
+            hardness={i: 0.5 + 0.1 * j for j, i in enumerate(ids)}, cutoff=30.0,
+        )
+        store = RunDataStore()
+        configure(
+            space, [Instance(i, (float(j),)) for j, i in enumerate(ids)], 30.0, 500.0,
+            Metric.PAR10, store, 3, backend=SyntheticBackend(spec), settings=FAST_SETTINGS,
+        )
+        runtimes = {record.runtime for record in store.records()}
+        assert len(store) == 30 and len(runtimes) > 1
+        assert grown == [] and served == []

@@ -159,6 +159,35 @@ class TestPermutationTest:
         with pytest.raises(ValueError):
             permutation_test([1.0, 2.0], [1.0], n_permutations=10)
 
+    @staticmethod
+    def unblocked_p_value(a, b, n_permutations, seed):
+        """The p-value as computed before the signs were drawn in blocks of
+        2**20: integer signs, in batches of up to 20,000,000 cells."""
+        diffs = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
+        observed = abs(float(diffs.mean()))
+        rng = np.random.default_rng(seed)
+        n = len(diffs)
+        hits = 0
+        remaining = n_permutations
+        batch = max(1, min(remaining, 20_000_000 // n))
+        while remaining > 0:
+            m = min(batch, remaining)
+            signs = rng.integers(0, 2, size=(m, n)) * 2 - 1
+            hits += int((np.abs(signs @ diffs) / n >= observed).sum())
+            remaining -= m
+        return (1 + hits) / (1 + n_permutations)
+
+    # 24 and 25 pairs fit 43,690 and 41,943 permutations in a block, 80 and
+    # 81 pairs 13,107 and 12,945: 100,000 permutations take 3 and 8 blocks
+    @pytest.mark.parametrize("n", [1, 2, 7, 24, 25, 80, 81])
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_p_value_unchanged_by_blocking(self, n, seed):
+        rng = np.random.default_rng(100 * n + seed)
+        b = rng.normal(10.0, 2.0, size=n)
+        a = b + rng.normal(0.3, 1.0, size=n)
+        outcome = permutation_test(a.tolist(), b.tolist(), n_permutations=100_000, seed=seed)
+        assert outcome.p_value == self.unblocked_p_value(a, b, 100_000, seed)
+
 
 class TestReports:
     def _report(self, space, label="a", jitter=0.0, fast=2.0):

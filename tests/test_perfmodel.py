@@ -7,9 +7,11 @@ import pytest
 
 from acpp.core import RunRecord, RunStatus
 from acpp.perfmodel import (
+    SMALL_NODE_CELLS,
     ForestParams,
     _best_categorical_split,
     _best_categorical_split_py,
+    _ColumnDraw,
     _grow_tree,
     _pairwise_sum,
     fit_forest,
@@ -343,13 +345,15 @@ def reference_forest(X, y, column_kinds, params, seed):
     return trees
 
 
-def random_forest_data(seed, constant_target=False):
+def random_forest_data(seed, constant_target=False, n_rows=None):
     """Rows mixing numeric columns (some with tied values), categorical
     columns with 2-8 and with more than 8 levels, and inactive SENTINEL
     entries; targets continuous, on a coarse grid (tied split scores), or
-    constant."""
+    constant. Five columns; ``n_rows`` rows, or a seeded count from 6 to 159."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(6, 160))
+    if n_rows is not None:
+        n = n_rows
     columns, kinds = [], []
     for levels in (int(rng.integers(2, 9)), int(rng.integers(9, 15))):
         col = rng.integers(0, levels, size=n).astype(float)
@@ -466,7 +470,118 @@ class TestForestExactness:
         ref_grow_tree(X, y, idx, cat_cols, params, rng_ref)
         assert rng_fast.bit_generator.state == rng_ref.bit_generator.state
 
+    # with five columns a sample of at most this many rows grows on lists
+    # from the root; a larger one starts on the sorted table
+    SMALL_ROOT = min(128, SMALL_NODE_CELLS // 5)
+
+    @pytest.mark.parametrize(
+        "n_rows", [SMALL_ROOT - 40, SMALL_ROOT, SMALL_ROOT + 1, 3 * SMALL_ROOT]
+    )
+    @pytest.mark.parametrize("min_leaf", [1, 3])
+    @pytest.mark.parametrize("bootstrap", [True, False])
+    def test_both_tree_paths_match_reference(self, n_rows, min_leaf, bootstrap):
+        for data_seed in (0, 1):
+            X, y, column_kinds = random_forest_data(data_seed, n_rows=n_rows)
+            params = ForestParams(n_trees=3, min_leaf=min_leaf, bootstrap=bootstrap)
+            seed = n_rows + data_seed
+            model = fit_forest(X, y, column_kinds, params, seed, feature_dim=0, space=None)
+            reference = reference_forest(X, y, column_kinds, params, seed)
+            Q = query_rows(X, column_kinds, seed)
+            for tree, ref in zip(model.trees, reference, strict=True):
+                assert np.array_equal(tree.feature, ref.feature)
+                assert np.array_equal(tree.threshold, ref.threshold)
+                assert np.array_equal(tree.children, ref.children)
+                assert np.array_equal(tree.value, ref.value, equal_nan=True)
+                assert [tree.left_values(i) for i in range(len(tree.feature))] == ref.left_values
+                assert np.array_equal(tree.predict(Q), ref.predict(Q))
+            cat_cols = np.array([kind == "cat" for kind in column_kinds])
+            rng_fast, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            idx = np.random.default_rng(seed + 1).integers(0, n_rows, size=n_rows)
+            _grow_tree(X, y, idx, cat_cols, params, rng_fast)
+            ref_grow_tree(X, y, idx, cat_cols, params, rng_ref)
+            assert rng_fast.bit_generator.state == rng_ref.bit_generator.state
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rows_rejected(self, bad):
+        X, y, column_kinds = random_forest_data(3)
+        X[len(X) // 2, column_kinds.index("num")] = bad
+        with pytest.raises(ValueError, match="finite"):
+            fit_forest(X, y, column_kinds, ForestParams(), 0, 0, None)
+
     def test_non_code_categorical_values_rejected(self):
         X = np.array([[0.5, 1.0], [1.0, 2.0]])
         with pytest.raises(ValueError, match="choice codes"):
             fit_forest(X, np.array([1.0, 2.0]), ("cat", "num"), ForestParams(), 0, 0, None)
+
+
+# PCG64's multiplier: a step is state * MULTIPLIER + inc modulo 2**128, and
+# the output is the xor of the new state's halves rotated right by its top
+# six bits
+PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def zero_output_next(rng: np.random.Generator) -> None:
+    """Set the generator so that its next 64-bit output is 0: two 32-bit
+    words that Lemire's method rejects for every bound but a power of two."""
+    state = rng.bit_generator.state
+    inc = state["state"]["inc"]
+    half = int(np.random.default_rng(0).integers(0, 2**63))
+    after = (half << 64) | half  # halves that xor to zero
+    state["state"]["state"] = (after - inc) * pow(PCG64_MULTIPLIER, -1, 2**128) % 2**128
+    state["has_uint32"] = 0
+    rng.bit_generator.state = state
+
+
+class TestColumnDraw:
+    """``_ColumnDraw`` against ``Generator.choice(n, size=k, replace=False)``,
+    value for value and state for state. Verified on numpy 2.4.6; a numpy
+    that changes the algorithm behind ``choice`` fails here first."""
+
+    BOOTSTRAP_SIZES = (0, 1, 2, 3, 49, 128, 999, 1000)
+    CALLS = (0, 1, 2, 9, 150)  # 150 draws outrun the first block of outputs
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_matches_generator_choice(self, n):
+        for k in range(1, n + 1):
+            for seed in range(16):
+                fast, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+                size = self.BOOTSTRAP_SIZES[seed % len(self.BOOTSTRAP_SIZES)]
+                if size:
+                    fast.integers(0, size, size=size)
+                    ref.integers(0, size, size=size)
+                draw = _ColumnDraw(fast, n, k)
+                for _ in range(self.CALLS[seed % len(self.CALLS)]):
+                    assert draw.sample() == ref.choice(n, size=k, replace=False).tolist()
+                draw.close()
+                assert fast.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    @pytest.mark.parametrize("buffered", [False, True])
+    def test_rejected_words_redrawn(self, n, buffered):
+        for k in range(1, n + 1):
+            fast, ref = np.random.default_rng(n), np.random.default_rng(n)
+            for rng in (fast, ref):
+                zero_output_next(rng)
+                if buffered:
+                    rng.integers(0, 8)  # takes the first zero word, buffers the second
+            assert fast.bit_generator.state["has_uint32"] == buffered
+            draw = _ColumnDraw(fast, n, k)
+            for _ in range(3):
+                assert draw.sample() == ref.choice(n, size=k, replace=False).tolist()
+            draw.close()
+            assert fast.bit_generator.state == ref.bit_generator.state
+
+    def test_crafted_state_outputs_zero(self):
+        rng = np.random.default_rng(1)
+        zero_output_next(rng)
+        assert int(rng.bit_generator.random_raw()) == 0
+
+    def test_other_bit_generators_rejected(self):
+        for bit_gen in (np.random.MT19937(0), np.random.PCG64DXSM(0), np.random.Philox(0)):
+            with pytest.raises(TypeError, match="PCG64"):
+                _ColumnDraw(np.random.Generator(bit_gen), 5, 2)
+
+    def test_impossible_sizes_rejected(self):
+        for n, k in ((3, 4), (3, 0), (20_000, 5)):
+            with pytest.raises(ValueError):
+                _ColumnDraw(np.random.default_rng(0), n, k)
