@@ -188,6 +188,22 @@ class TestPermutationTest:
         outcome = permutation_test(a.tolist(), b.tolist(), n_permutations=100_000, seed=seed)
         assert outcome.p_value == self.unblocked_p_value(a, b, 100_000, seed)
 
+    # PAR-10 scores at cutoff 10 tie often: most pairs time out on both sides
+    # (difference 0) and the rest repeat a few differences, so many permuted
+    # means equal the observed one and a last-bit change would move hits
+    @pytest.mark.parametrize("n", [1, 2, 7, 24, 25, 80, 81])
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_tied_p_value_unchanged_by_blocking(self, n, seed):
+        rng = np.random.default_rng(100 * n + seed)
+        a = np.full(n, 100.0)
+        b = np.full(n, 100.0)
+        side = rng.choice(4, size=n, p=[0.6, 0.2, 0.1, 0.1])
+        a[side == 1] = 2.5  # only a solves
+        b[side == 2] = 2.5  # only b solves, the same difference negated
+        a[side == 3], b[side == 3] = 1.25, 3.75  # both solve
+        outcome = permutation_test(a.tolist(), b.tolist(), n_permutations=100_000, seed=seed)
+        assert outcome.p_value == self.unblocked_p_value(a, b, 100_000, seed)
+
 
 class TestReports:
     def _report(self, space, label="a", jitter=0.0, fast=2.0):

@@ -501,6 +501,37 @@ class TestForestExactness:
             ref_grow_tree(X, y, idx, cat_cols, params, rng_ref)
             assert rng_fast.bit_generator.state == rng_ref.bit_generator.state
 
+    # more than LIST_MAX columns draw through rng.choice, more than 10,000
+    # through numpy's tail shuffle
+    @pytest.mark.parametrize(
+        "n_cols", [_ColumnDraw.LIST_MAX, _ColumnDraw.LIST_MAX + 1, 200, 10_050]
+    )
+    def test_wide_rows_match_reference(self, n_cols):
+        rng = np.random.default_rng(n_cols)
+        n_rows = 12 if n_cols > 10_000 else 60
+        X = rng.normal(size=(n_rows, n_cols))
+        X[:, ::7] = rng.integers(0, 4, size=X[:, ::7].shape)
+        column_kinds = tuple("cat" if j % 7 == 0 else "num" for j in range(n_cols))
+        y = rng.normal(size=n_rows)
+        params = ForestParams(n_trees=2, min_leaf=2)
+        model = fit_forest(X, y, column_kinds, params, n_cols, feature_dim=0, space=None)
+        reference = reference_forest(X, y, column_kinds, params, n_cols)
+        Q = query_rows(X, column_kinds, n_cols)
+        for tree, ref in zip(model.trees, reference, strict=True):
+            assert len(tree.feature) > 1
+            assert np.array_equal(tree.feature, ref.feature)
+            assert np.array_equal(tree.threshold, ref.threshold)
+            assert np.array_equal(tree.children, ref.children)
+            assert np.array_equal(tree.value, ref.value)
+            assert [tree.left_values(i) for i in range(len(tree.feature))] == ref.left_values
+            assert np.array_equal(tree.predict(Q), ref.predict(Q))
+        cat_cols = np.array([kind == "cat" for kind in column_kinds])
+        rng_fast, rng_ref = np.random.default_rng(n_cols), np.random.default_rng(n_cols)
+        idx = np.arange(n_rows)
+        _grow_tree(X, y, idx, cat_cols, params, rng_fast)
+        ref_grow_tree(X, y, idx, cat_cols, params, rng_ref)
+        assert rng_fast.bit_generator.state == rng_ref.bit_generator.state
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_rows_rejected(self, bad):
         X, y, column_kinds = random_forest_data(3)
@@ -582,6 +613,39 @@ class TestColumnDraw:
                 _ColumnDraw(np.random.Generator(bit_gen), 5, 2)
 
     def test_impossible_sizes_rejected(self):
-        for n, k in ((3, 4), (3, 0), (20_000, 5)):
+        for n, k in ((3, 4), (3, 0), (20_000, 20_001)):
             with pytest.raises(ValueError):
                 _ColumnDraw(np.random.default_rng(0), n, k)
+
+    # on either side of LIST_MAX, where the draw hands over to rng.choice, and
+    # on either side of 10,000, where numpy switches to a tail shuffle
+    @pytest.mark.parametrize(
+        "n", [13, _ColumnDraw.LIST_MAX, _ColumnDraw.LIST_MAX + 1, 195, 300, 1000, 10_000, 10_001, 30_000]
+    )
+    def test_large_draws_match_generator_choice(self, n):
+        for k in sorted({1, math.ceil(n / 3), n}):
+            for seed in range(3):
+                fast, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+                fast.integers(0, 8)  # leaves a buffered word
+                ref.integers(0, 8)
+                draw = _ColumnDraw(fast, n, k)
+                for _ in range(4):
+                    assert draw.sample() == ref.choice(n, size=k, replace=False).tolist()
+                draw.close()
+                assert fast.bit_generator.state == ref.bit_generator.state
+
+    # draws of these sizes start a sample with at most two words to spare in
+    # the first 260 outputs, so a rejected word there decides whether the
+    # rest of the sample finds its words
+    @pytest.mark.parametrize("n, k", [(5, 5), (12, 8), (12, 9), (24, 8), (32, 4), (32, 26)])
+    def test_rejection_at_every_stream_offset(self, n, k):
+        for offset in range(260):
+            fast, ref = np.random.default_rng(offset), np.random.default_rng(offset)
+            for rng in (fast, ref):
+                zero_output_next(rng)
+                rng.bit_generator.advance(2**128 - offset)  # the zero comes after offset outputs
+            draw = _ColumnDraw(fast, n, k)
+            for _ in range(2 * offset // (2 * k - 1) + 2):
+                assert draw.sample() == ref.choice(n, size=k, replace=False).tolist()
+            draw.close()
+            assert fast.bit_generator.state == ref.bit_generator.state
