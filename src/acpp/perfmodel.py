@@ -11,7 +11,11 @@ Training rows are put into a canonical order and per-tree seeds are derived
 from the master seed, so fitting is invariant to record order and to any
 training-thread schedule.
 
-Every split node draws its candidate columns as
+Each tree grows on one path: every node holds its samples as Python lists,
+which at the row counts this model sees (a few hundred to a few thousand)
+costs less than numpy's per-call overhead. Sums follow numpy's pairwise
+order, so the trees are those a per-node numpy implementation grows. Every
+split node draws its candidate columns as
 ``rng.choice(n_cols, size=n_try, replace=False)`` would: ``_ColumnDraw``
 mirrors numpy's ``Generator.choice`` algorithm on the tree generator's
 PCG64 stream, so the trees are the ones that call grows, at a fraction of
@@ -39,11 +43,6 @@ from .space import (
 )
 
 LOG_FLOOR = 1e-3  # scores are clamped here before the log transform
-
-# a node with at most this many (sample, column) cells, and at most 128
-# samples, is grown with Python lists: below it a numpy call costs more in
-# overhead than the loop it replaces
-SMALL_NODE_CELLS = 512
 
 _MASK32 = 0xFFFFFFFF
 
@@ -194,12 +193,6 @@ class _Tree:
     def predict(self, X: np.ndarray) -> np.ndarray:
         return _Forest([self]).predict(X)[0]
 
-    def left_values(self, node: int) -> frozenset[float] | None:
-        """Category values sent left by a categorical node, None otherwise."""
-        if not self.categorical[node]:
-            return None
-        return frozenset(float(c) + SENTINEL for c in np.flatnonzero(self.left_codes[node]))
-
 
 class _Forest:
     """Trees stacked into one node table, for predicting with all of them at
@@ -265,21 +258,14 @@ class PerformanceModel:
     trees: list[_Tree]
     column_kinds: tuple[str, ...]
     feature_dim: int
-    y_min: float
-    y_max: float
-    params: ForestParams
     space: ParameterSpace = field(repr=False)
-
-    @property
-    def n_trees(self) -> int:
-        return len(self.trees)
 
     @functools.cached_property
     def _forest(self) -> _Forest:
         return _Forest(self.trees)
 
     def predict_transformed(self, X: np.ndarray) -> np.ndarray:
-        """Mean over trees in log10 space; always within [y_min, y_max]."""
+        """Mean over trees in log10 space."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if X.shape[1] != len(self.column_kinds):
             raise ValueError(
@@ -343,8 +329,6 @@ def fit_forest(
     feature_dim: int,
     space: ParameterSpace,
 ) -> PerformanceModel:
-    if params.n_trees < 1:
-        raise ValueError("need at least one tree")
     if not np.isfinite(X).all():
         raise ValueError("training rows must be finite")
     seed_seq = np.random.SeedSequence(seed)
@@ -365,9 +349,6 @@ def fit_forest(
         trees=trees,
         column_kinds=tuple(column_kinds),
         feature_dim=feature_dim,
-        y_min=float(y.min()),
-        y_max=float(y.max()),
-        params=params,
         space=space,
     )
 
@@ -382,34 +363,22 @@ def _grow_tree(
 ) -> _Tree:
     """Grow one regression tree on the sample rows ``idx`` (in draw order).
 
-    Nodes are grown depth first, left child first, and every node large
-    enough to split draws its candidate columns as one
-    ``rng.choice(n_cols, size=n_try, replace=False)`` would.
-
-    A node small enough (``SMALL_NODE_CELLS``) grows its whole subtree on
-    Python lists, with the same arithmetic in the same order: it keeps its
-    samples in draw order and sorts them by a drawn numeric feature when it
-    scores that feature, ties in draw order. A sample that small enters
-    there at the root. A larger one is held as one table with a column per
-    draw, and a node owns the table columns ``[lo, hi)``. The first rows
-    hold, in draw order, the target, every feature (category codes for
-    categorical ones) and the draw position. Then come, for every numeric
-    feature, the positions, values and targets sorted by that feature, ties
-    in draw order. Each feature is thus sorted once per tree; a split
-    partitions every row stably in place, so the sorted rows stay sorted.
+    Nodes are grown depth first, left child first, on Python lists, and
+    every node large enough to split draws its candidate columns as one
+    ``rng.choice(n_cols, size=n_try, replace=False)`` would. A node keeps
+    its samples in draw order and sorts them by a drawn numeric feature
+    when it scores that feature, ties in draw order. Sums are taken in
+    numpy's order (``_pairwise_sum``), so the trees are bit-identical to a
+    per-node numpy implementation.
     """
     n_cols = X.shape[1]
-    num_cols = np.flatnonzero(~cat_cols)
-    n_num = len(num_cols)
-    n = len(idx)
     Xs = np.asarray(X[idx], dtype=float).T
     Xs[cat_cols] -= SENTINEL
-    ys = y[idx]
     n_codes = int(Xs[cat_cols].max(initial=0)) + 1
     n_try = min(n_cols, params.n_split_features(n_cols))
     draw = _ColumnDraw(rng, n_cols, n_try)
     min_leaf = params.min_leaf
-    small_node = min(128, SMALL_NODE_CELLS // n_cols)  # _pairwise_sum takes <= 128
+    ys_, xs_, codes_ = y[idx].tolist(), Xs.tolist(), Xs.astype(np.intp).tolist()
 
     feature: list[int] = []
     threshold: list[float] = []
@@ -417,8 +386,7 @@ def _grow_tree(
     children: list[tuple[int, int]] = []
     value: list[float] = []
 
-    def build_small(samples: list[int], data) -> int:
-        ys_, xs_, codes_ = data
+    def build(samples: list[int]) -> int:
         node = len(feature)
         feature.append(-1)
         threshold.append(0.0)
@@ -435,14 +403,14 @@ def _grow_tree(
         for col in draw.sample():
             if cat_cols[col]:
                 codes = list(map(codes_[col].__getitem__, samples))
-                result = _best_categorical_split_py(codes, targets, n_codes, params)
+                result = _best_categorical_split(codes, targets, n_codes, params)
                 if result is not None and result[0] < best_sse:
                     best_sse = result[0]
                     best = (col, 0.0, result[1])
                 continue
             values = xs_[col]
             order = sorted(samples, key=values.__getitem__)
-            result = _best_numeric_split_py(
+            result = _best_numeric_split(
                 list(map(values.__getitem__, order)), list(map(ys_.__getitem__, order)), min_leaf
             )
             if result is not None and result[0] < best_sse:
@@ -462,101 +430,12 @@ def _grow_tree(
         feature[node] = col
         threshold[node] = thr
         left_codes[node] = cats
-        left_child = build_small(left_samples, data)
-        right_child = build_small(right_samples, data)
+        left_child = build(left_samples)
+        right_child = build(right_samples)
         children[node] = (left_child, right_child)
         return node
 
-    def grow_on_lists(targets: np.ndarray, feats: np.ndarray) -> int:
-        """Grow the subtree of these samples, given in draw order, on lists."""
-        data = (targets.tolist(), feats.tolist(), feats.astype(np.intp).tolist())
-        return build_small(list(range(len(targets))), data)
-
-    def best_split(lo: int, hi: int, targets: np.ndarray):
-        """First strictly best (column, threshold, left codes) over the drawn
-        columns, or None when none of them can be split."""
-        best = None
-        best_sse = math.inf
-        numeric = None
-        for col in draw.sample():
-            if cat_cols[col]:
-                codes = table[feat + col, lo:hi].astype(np.intp)
-                result = _best_categorical_split(codes, targets, n_codes, params)
-                if result is not None and result[0] < best_sse:
-                    best_sse = result[0]
-                    best = (col, 0.0, result[1])
-                continue
-            if numeric is None:
-                xs = table[sorted_x:sorted_y, lo:hi]
-                sse, cut = _best_numeric_splits(xs, table[sorted_y:, lo:hi], min_leaf)
-                numeric = sse.tolist()
-            i = sorted_index[col]
-            if numeric[i] < best_sse:
-                best_sse = numeric[i]
-                p = cut[i]
-                best = (col, float((xs[i, p - 1] + xs[i, p]) / 2.0), None)
-        return best
-
-    def build(lo: int, hi: int) -> int:
-        if hi - lo <= small_node:
-            return grow_on_lists(table[0, lo:hi], table[feat:pos_row, lo:hi])
-        node = len(feature)
-        feature.append(-1)
-        threshold.append(0.0)
-        left_codes.append(None)
-        children.append((-1, -1))
-        targets = table[0, lo:hi]
-        # the same reduction as targets.mean(), without its wrapper
-        value.append(float(np.add.reduce(targets) / (hi - lo)))
-        if hi - lo < 2 * min_leaf or (targets == targets[0]).all():
-            return node
-        split = best_split(lo, hi, targets)
-        if split is None:
-            return node
-        col, thr, cats = split
-        if cats is None:
-            left = table[feat + col, lo:hi] <= thr
-        else:
-            left = cats[table[feat + col, lo:hi].astype(np.intp)]
-        goes_left[table[pos_row, lo:hi].astype(np.intp)] = left
-        by_order = goes_left[table[sorted_pos:sorted_x, lo:hi].astype(np.intp)]
-        flags = np.concatenate((left[None], by_order))[flag_row]
-        segment = table[:, lo:hi]
-        n_left = int(np.count_nonzero(left))
-        left_part = segment[flags].reshape(len(table), n_left)
-        right_part = segment[~flags].reshape(len(table), hi - lo - n_left)
-        segment[:, :n_left] = left_part
-        segment[:, n_left:] = right_part
-        feature[node] = col
-        threshold[node] = thr
-        left_codes[node] = cats
-        left_child = build(lo, lo + n_left)
-        right_child = build(lo + n_left, hi)
-        children[node] = (left_child, right_child)
-        return node
-
-    if n <= small_node:
-        # a sample this small never needs the table
-        grow_on_lists(ys, Xs)
-    else:
-        ranks = np.argsort(Xs[num_cols], axis=1, kind="mergesort")
-        feat, pos_row = 1, 1 + n_cols  # row 0 is the target
-        sorted_pos, sorted_x, sorted_y = pos_row + 1, pos_row + 1 + n_num, pos_row + 1 + 2 * n_num
-        table = np.empty((sorted_y + n_num, n))
-        table[0] = ys
-        table[feat:pos_row] = Xs
-        table[pos_row] = np.arange(n)
-        table[sorted_pos:sorted_x] = ranks
-        table[sorted_x:sorted_y] = np.take_along_axis(Xs[num_cols], ranks, axis=1)
-        table[sorted_y:] = ys[ranks]
-        # row of the split flags (0: draw order, 1 + i: sorted by numeric i) per table row
-        flag_row = np.concatenate(
-            (np.zeros(sorted_pos, dtype=np.intp), np.tile(np.arange(1, n_num + 1), 3))
-        )
-        sorted_index = np.zeros(n_cols, dtype=np.intp)
-        sorted_index[num_cols] = np.arange(n_num)
-        goes_left = np.empty(n, dtype=bool)
-        build(0, n)
+    build(list(range(len(idx))))
     draw.close()
     categorical = np.array([cats is not None for cats in left_codes])
     code_table = np.zeros((len(feature), n_codes), dtype=bool)
@@ -572,25 +451,21 @@ def _grow_tree(
     )
 
 
-def _split_sse(counts_l, sums_l, sq_l, total_n, total_sum, total_sq):
-    counts_r = total_n - counts_l
-    sums_r = total_sum - sums_l
-    sq_r = total_sq - sq_l
-    sse_l = sq_l - sums_l**2 / counts_l
-    sse_r = sq_r - sums_r**2 / counts_r
-    return sse_l + sse_r
-
-
 def _pairwise_sum(values: list[float]) -> float:
-    """``np.add.reduce`` of up to 128 float64 values, in numpy's order: a
-    plain loop below 8 values, otherwise 8 interleaved accumulators combined
-    pairwise, then the remainder. Callers add the reduction's 0.0 start."""
+    """``np.add.reduce`` of float64 values, in numpy's order: a plain loop
+    below 8 values; up to 128, 8 interleaved accumulators combined pairwise,
+    then the remainder; above that, the sums of two halves, the first a
+    multiple of 8 long. Callers add the reduction's 0.0 start."""
     n = len(values)
     if n < 8:
         total = -0.0
         for v in values:
             total += v
         return total
+    if n > 128:
+        half = n // 2
+        half -= half % 8
+        return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
     r0, r1, r2, r3, r4, r5, r6, r7 = values[:8]
     end = n - n % 8
     for i in range(8, end, 8):
@@ -608,9 +483,11 @@ def _pairwise_sum(values: list[float]) -> float:
     return total
 
 
-def _best_numeric_split_py(xs: list[float], ys: list[float], min_leaf: int):
-    """``_best_numeric_splits`` for one sorted column held as lists, with the
-    same operations in the same order: (sse, threshold) or None."""
+def _best_numeric_split(xs: list[float], ys: list[float], min_leaf: int):
+    """Best split of one column, values ``xs`` sorted ascending and targets
+    ``ys`` in the same order, as (sse, threshold), or None when no split
+    between distinct values leaves ``min_leaf`` on both sides. The first
+    strict minimum wins."""
     n = len(xs)
     csum = list(itertools.accumulate(ys))
     csq = list(itertools.accumulate([v * v for v in ys]))
@@ -629,97 +506,16 @@ def _best_numeric_split_py(xs: list[float], ys: list[float], min_leaf: int):
     return best_sse, (xs[best - 1] + xs[best]) / 2.0
 
 
-def _best_numeric_splits(xs: np.ndarray, ys: np.ndarray, min_leaf: int):
-    """Best split of every row of ``xs`` (values sorted ascending, targets
-    ``ys`` in the same order), as (sse, split index) per row: the left side
-    is ``[:index]``. The sse is inf where the row has no split leaving
-    ``min_leaf`` on both sides; rows need ``2 * min_leaf`` values."""
-    n = xs.shape[1]
-    pos = np.arange(min_leaf, n - min_leaf + 1)  # split before index pos
-    valid = xs[:, min_leaf - 1 : n - min_leaf] < xs[:, min_leaf : n - min_leaf + 1]
-    csum = ys.cumsum(axis=1)
-    csq = (ys * ys).cumsum(axis=1)
-    sse = _split_sse(
-        pos, csum[:, min_leaf - 1 : n - min_leaf], csq[:, min_leaf - 1 : n - min_leaf],
-        n, csum[:, -1:], csq[:, -1:],
-    )
-    sse = np.where(valid, sse, math.inf)
-    best = sse.argmin(axis=1)
-    return sse[np.arange(len(sse)), best], pos[best]
-
-
 def _best_categorical_split(
-    codes: np.ndarray, targets: np.ndarray, n_codes: int, params: ForestParams
+    codes: list[int], targets: list[float], n_codes: int, params: ForestParams
 ):
     """Best subset of the categories present, as (sse, left flag per code).
 
     Up to ``max_exhaustive_categories`` present categories every proper
     subset holding the lowest one is scored; the first minimum in bitmask
-    order wins. Above that, categories are ordered by target mean and split
-    along that ordering.
+    order wins. Above that, categories are ordered by target mean (stably)
+    and split along that ordering; the first minimum wins.
     """
-    counts = np.bincount(codes, minlength=n_codes)
-    present = counts.nonzero()[0]
-    m = len(present)
-    if m < 2:
-        return None
-    squares = targets * targets
-    # count, target sum and squared-target sum per present category
-    stats = np.array(
-        (
-            counts[present],
-            np.bincount(codes, weights=targets, minlength=n_codes)[present],
-            np.bincount(codes, weights=squares, minlength=n_codes)[present],
-        )
-    )
-    total_n = float(len(codes))
-    total_sum, total_sq = float(np.add.reduce(targets)), float(np.add.reduce(squares))
-    min_leaf = params.min_leaf
-    left = np.zeros(n_codes, dtype=bool)
-    if m <= params.max_exhaustive_categories:
-        # left-side statistics of every subset holding category 0, in
-        # bitmask order: doubling the list once per further category adds
-        # each subset's members one at a time, in category order
-        sides = stats[:, :1]
-        for j in range(1, m):
-            sides = np.concatenate((sides, sides + stats[:, j : j + 1]), axis=1)
-        n_l, s_l, q_l = sides[:, :-1]  # the last subset holds every category
-        # float_power is the libm pow behind a float64 scalar's ``**``, which
-        # can differ from ``x * x`` in the last bit
-        sse = (q_l - np.float_power(s_l, 2.0) / n_l) + (
-            (total_sq - q_l) - np.float_power(total_sum - s_l, 2.0) / (total_n - n_l)
-        )
-        sse = np.where((n_l >= min_leaf) & (total_n - n_l >= min_leaf), sse, math.inf)
-        best = int(sse.argmin())
-        if not sse[best] < math.inf:
-            return None
-        mask = 2 * best + 1
-        left[present[[j for j in range(m) if mask >> j & 1]]] = True
-        return float(sse[best]), left
-    # order categories by target mean and split along that ordering
-    counts, sums, sqs = stats
-    order = np.argsort(sums / counts, kind="mergesort")
-    c_counts = np.cumsum(counts[order])[:-1]
-    c_sums = np.cumsum(sums[order])[:-1]
-    c_sqs = np.cumsum(sqs[order])[:-1]
-    ok = (c_counts >= min_leaf) & (total_n - c_counts >= min_leaf)
-    if not ok.any():
-        return None
-    sse = np.where(
-        ok,
-        _split_sse(c_counts, c_sums, c_sqs, total_n, total_sum, total_sq),
-        math.inf,
-    )
-    cut = int(np.argmin(sse))
-    left[present[order[: cut + 1]]] = True
-    return float(sse[cut]), left
-
-
-def _best_categorical_split_py(
-    codes: list[int], targets: list[float], n_codes: int, params: ForestParams
-):
-    """``_best_categorical_split`` on lists, with the same arithmetic in the
-    same order."""
     counts = [0] * n_codes
     sums = [0.0] * n_codes
     sqs = [0.0] * n_codes
@@ -732,10 +528,30 @@ def _best_categorical_split_py(
     m = len(present)
     if m < 2:
         return None
-    if m > params.max_exhaustive_categories:
-        return _best_categorical_split(np.array(codes), np.array(targets), n_codes, params)
     total_n = float(len(codes))
     total_sum, total_sq = 0.0 + _pairwise_sum(targets), 0.0 + _pairwise_sum(squares)
+    min_leaf = params.min_leaf
+    best_sse = math.inf
+    best = None
+    left = np.zeros(n_codes, dtype=bool)
+    if m > params.max_exhaustive_categories:
+        order = sorted(present, key=lambda c: sums[c] / counts[c])
+        n_l = list(itertools.accumulate(counts[c] for c in order))
+        s_l = list(itertools.accumulate(sums[c] for c in order))
+        q_l = list(itertools.accumulate(sqs[c] for c in order))
+        for i in range(m - 1):  # the last cut would hold every category
+            left_n, left_sum = n_l[i], s_l[i]
+            if left_n >= min_leaf and total_n - left_n >= min_leaf:
+                right_sum = total_sum - left_sum
+                sse = (q_l[i] - left_sum * left_sum / left_n) + (
+                    (total_sq - q_l[i]) - right_sum * right_sum / (total_n - left_n)
+                )
+                if sse < best_sse:
+                    best_sse, best = sse, i
+        if best is None:
+            return None
+        left[order[: best + 1]] = True
+        return best_sse, left
     first = present[0]
     n_l, s_l, q_l = [float(counts[first])], [sums[first]], [sqs[first]]
     for c in present[1:]:
@@ -744,10 +560,9 @@ def _best_categorical_split_py(
         s_l += [v + total for v in s_l]
         q_l += [v + square for v in q_l]
     k = len(n_l) - 1  # the last subset holds every category
+    # float_power is the libm pow behind a float64 scalar's ``**``, which
+    # can differ from ``x * x`` in the last bit
     powers = np.float_power(s_l[:k] + [total_sum - v for v in s_l[:k]], 2.0).tolist()
-    min_leaf = params.min_leaf
-    best_sse = math.inf
-    best = None
     for i in range(k):
         left_n = n_l[i]
         if left_n >= min_leaf and total_n - left_n >= min_leaf:
@@ -759,6 +574,5 @@ def _best_categorical_split_py(
     if best is None:
         return None
     mask = 2 * best + 1
-    left = np.zeros(n_codes, dtype=bool)
     left[[present[j] for j in range(m) if mask >> j & 1]] = True
     return best_sse, left

@@ -5,12 +5,11 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from acpp import perfmodel
 from acpp.core import RunRecord, RunStatus
 from acpp.perfmodel import (
-    SMALL_NODE_CELLS,
     ForestParams,
     _best_categorical_split,
-    _best_categorical_split_py,
     _ColumnDraw,
     _grow_tree,
     _pairwise_sum,
@@ -121,8 +120,10 @@ class TestModelProperties:
             [[rng.choice([0.0, 1.0, 2.0, 3.0]), rng.uniform(-5, 15), rng.uniform(-5, 15)] for _ in range(200)]
         )
         preds = model.predict_transformed(rows)
-        assert np.all(preds >= model.y_min - 1e-12)
-        assert np.all(preds <= model.y_max + 1e-12)
+        # every run solved below the cutoff, so each target is log10(runtime)
+        targets = [math.log10(r.runtime) for r in store.records()]
+        assert np.all(preds >= min(targets) - 1e-12)
+        assert np.all(preds <= max(targets) + 1e-12)
 
     def test_instances_without_features_skipped(self, space):
         store = RunDataStore()
@@ -142,6 +143,14 @@ class TestModelProperties:
 # its rows, categorical subsets are scored one bitmask at a time, and predict
 # walks node by node with ``np.isin``. The fast code must give bit-identical
 # trees, predictions and random-number consumption.
+
+
+def left_values(tree, node: int) -> frozenset[float] | None:
+    """Category values a fitted tree's categorical node sends left, None
+    for a numeric node or a leaf."""
+    if not tree.categorical[node]:
+        return None
+    return frozenset(float(c) + SENTINEL for c in np.flatnonzero(tree.left_codes[node]))
 
 
 @dataclass
@@ -406,7 +415,7 @@ class TestForestExactness:
             assert np.array_equal(tree.threshold, ref.threshold)
             assert np.array_equal(tree.children, ref.children)
             assert np.array_equal(tree.value, ref.value)
-            assert [tree.left_values(i) for i in range(len(tree.feature))] == ref.left_values
+            assert [left_values(tree, i) for i in range(len(tree.feature))] == ref.left_values
         Q = query_rows(X, column_kinds, seed)
         acc = np.zeros(len(Q))
         for tree, ref in zip(model.trees, reference):
@@ -425,8 +434,7 @@ class TestForestExactness:
             assert np.array_equal(tree.value, ref.value)
             assert np.array_equal(tree.predict(X), ref.predict(X))
 
-    @pytest.mark.parametrize("on_lists", [False, True])
-    def test_categorical_split_scores_match_reference(self, on_lists):
+    def test_categorical_split_scores_match_reference(self):
         rng = np.random.default_rng(4)
         params = ForestParams(min_leaf=1)
         nodes = []
@@ -435,6 +443,20 @@ class TestForestExactness:
             levels = int(rng.integers(2, 13))
             values = rng.integers(0, levels, size=n) - 1.0  # SENTINEL is code 0
             nodes.append((values, rng.normal(size=n) * 10.0 ** rng.integers(-3, 3), levels))
+        # more than 128 samples take numpy's pairwise order in the totals, and
+        # more than 8 levels split along the by-mean ordering
+        for _ in range(200):
+            n = int(rng.integers(129, 1200))
+            levels = int(rng.integers(9, 15))
+            values = rng.integers(0, levels, size=n) - 1.0
+            nodes.append((values, rng.normal(size=n) * 10.0 ** rng.integers(-3, 3), levels))
+        # few samples on three target values: tied category means and tied
+        # split scores
+        for _ in range(500):
+            n = int(rng.integers(9, 60))
+            levels = int(rng.integers(9, 15))
+            values = rng.integers(0, levels, size=n) - 1.0
+            nodes.append((values, rng.integers(0, 3, size=n) / 2.0, levels))
         # a lone member on the left makes the score t*t - t**2 plus the right
         # side: a float64 scalar's ``**`` is libm pow, which can differ from
         # ``t * t`` in the last bit, and the split must score it the same way
@@ -443,10 +465,7 @@ class TestForestExactness:
         for values, targets, levels in nodes:
             expected = ref_best_categorical_split(values, targets, params)
             codes = (values - SENTINEL).astype(np.intp)
-            if on_lists:
-                got = _best_categorical_split_py(codes.tolist(), targets.tolist(), levels, params)
-            else:
-                got = _best_categorical_split(codes, targets, levels, params)
+            got = _best_categorical_split(codes.tolist(), targets.tolist(), levels, params)
             if expected is None:
                 assert got is None
                 continue
@@ -455,8 +474,9 @@ class TestForestExactness:
 
     def test_pairwise_sum_matches_numpy(self):
         rng = np.random.default_rng(9)
-        for n in range(129):
-            for _ in range(20):
+        sizes = list(range(1100)) + [4097, 9000]
+        for n in sizes:
+            for _ in range(20 if n <= 300 else 2):
                 values = rng.normal(size=n) * 10.0 ** rng.integers(-8, 9, size=n)
                 assert 0.0 + _pairwise_sum(values.tolist()) == np.add.reduce(values)
 
@@ -470,16 +490,21 @@ class TestForestExactness:
         ref_grow_tree(X, y, idx, cat_cols, params, rng_ref)
         assert rng_fast.bit_generator.state == rng_ref.bit_generator.state
 
-    # with five columns a sample of at most this many rows grows on lists
-    # from the root; a larger one starts on the sorted table
-    SMALL_ROOT = min(128, SMALL_NODE_CELLS // 5)
-
-    @pytest.mark.parametrize(
-        "n_rows", [SMALL_ROOT - 40, SMALL_ROOT, SMALL_ROOT + 1, 3 * SMALL_ROOT]
-    )
+    # row counts around 128, where the pairwise sum starts to halve, and
+    # samples large enough that nodes of more than 128 samples score the
+    # categorical column of 9-14 levels along its by-mean ordering
+    @pytest.mark.parametrize("n_rows", [62, 102, 103, 128, 129, 306, 1000])
     @pytest.mark.parametrize("min_leaf", [1, 3])
     @pytest.mark.parametrize("bootstrap", [True, False])
-    def test_both_tree_paths_match_reference(self, n_rows, min_leaf, bootstrap):
+    def test_both_tree_paths_match_reference(self, n_rows, min_leaf, bootstrap, monkeypatch):
+        scored = []  # (samples, levels present) of every categorical node scored
+        score = perfmodel._best_categorical_split
+
+        def recording_score(codes, targets, n_codes, params):
+            scored.append((len(codes), len(set(codes))))
+            return score(codes, targets, n_codes, params)
+
+        monkeypatch.setattr(perfmodel, "_best_categorical_split", recording_score)
         for data_seed in (0, 1):
             X, y, column_kinds = random_forest_data(data_seed, n_rows=n_rows)
             params = ForestParams(n_trees=3, min_leaf=min_leaf, bootstrap=bootstrap)
@@ -492,7 +517,7 @@ class TestForestExactness:
                 assert np.array_equal(tree.threshold, ref.threshold)
                 assert np.array_equal(tree.children, ref.children)
                 assert np.array_equal(tree.value, ref.value, equal_nan=True)
-                assert [tree.left_values(i) for i in range(len(tree.feature))] == ref.left_values
+                assert [left_values(tree, i) for i in range(len(tree.feature))] == ref.left_values
                 assert np.array_equal(tree.predict(Q), ref.predict(Q))
             cat_cols = np.array([kind == "cat" for kind in column_kinds])
             rng_fast, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -500,6 +525,8 @@ class TestForestExactness:
             _grow_tree(X, y, idx, cat_cols, params, rng_fast)
             ref_grow_tree(X, y, idx, cat_cols, params, rng_ref)
             assert rng_fast.bit_generator.state == rng_ref.bit_generator.state
+        if n_rows > 300:
+            assert any(m > 128 and levels > 8 for m, levels in scored)
 
     # more than LIST_MAX columns draw through rng.choice, more than 10,000
     # through numpy's tail shuffle
@@ -523,7 +550,7 @@ class TestForestExactness:
             assert np.array_equal(tree.threshold, ref.threshold)
             assert np.array_equal(tree.children, ref.children)
             assert np.array_equal(tree.value, ref.value)
-            assert [tree.left_values(i) for i in range(len(tree.feature))] == ref.left_values
+            assert [left_values(tree, i) for i in range(len(tree.feature))] == ref.left_values
             assert np.array_equal(tree.predict(Q), ref.predict(Q))
         cat_cols = np.array([kind == "cat" for kind in column_kinds])
         rng_fast, rng_ref = np.random.default_rng(n_cols), np.random.default_rng(n_cols)
