@@ -8,9 +8,8 @@ Subcommands:
   compare    paired permutation tests between two test reports
 
 Budget flags accept durations like ``36h``, ``90m``, ``120s`` or plain
-seconds. The environment variables ACPP_TC, ACPP_TV and ACPP_R override the
-scenario file's budget defaults; command-line flags override both. Logs go
-to standard error, artifacts to --out-dir.
+seconds, and override the scenario file's budget defaults. Logs go to
+standard error, artifacts to --out-dir.
 """
 
 from __future__ import annotations
@@ -84,12 +83,9 @@ def read_portfolio(path: Path, space: ParameterSpace) -> Portfolio:
     )
 
 
-def _budget_value(flag_value, env_name: str, defaults: dict, key: str, fallback):
+def _budget_value(flag_value, defaults: dict, key: str, fallback):
     if flag_value is not None:
         return flag_value
-    env = os.environ.get(env_name)
-    if env is not None:
-        return parse_duration(env) if key in ("t_c", "t_v") else int(env)
     if key in defaults:
         return float(defaults[key]) if key in ("t_c", "t_v") else int(defaults[key])
     return fallback
@@ -135,9 +131,9 @@ def cmd_construct(args) -> int:
     scenario = bundle.scenario
     backend = bundle.make_backend()
     defaults = bundle.defaults
-    t_c = _budget_value(args.tc, "ACPP_TC", defaults, "t_c", 40.0 * scenario.cutoff)
-    t_v = _budget_value(args.tv, "ACPP_TV", defaults, "t_v", 10.0 * scenario.cutoff)
-    r = _budget_value(args.r, "ACPP_R", defaults, "r", 10)
+    t_c = _budget_value(args.tc, defaults, "t_c", 40.0 * scenario.cutoff)
+    t_v = _budget_value(args.tv, defaults, "t_v", 10.0 * scenario.cutoff)
+    r = _budget_value(args.r, defaults, "r", 10)
     n = args.phases if args.phases is not None else int(defaults.get("n", 4))
     b = args.b if args.b is not None else int(defaults.get("b", 1))
     plan = plan_budget(args.method, scenario.k, t_c, t_v, r, n=n, b=b)

@@ -13,9 +13,9 @@ incumbent only when it has run on every instance the incumbent has been
 measured on and its mean score over them is strictly lower, so the
 incumbent's mean estimate never gets worse at a handover.
 
-All runs go through an evaluator that appends to the shared rundata store
-and charges the ledger; the model is fit on this call's own runs, which
-keeps concurrent per-subset configuration deterministic. Fits are lazy: a
+All runs go through one ``evaluate`` callable supplied by the caller, which
+records and charges them as it sees fit; the model is fit on this call's
+own runs, which keeps concurrent per-subset configuration deterministic. Fits are lazy: a
 refit draws its seed and fixes its row count when it is due, but the forest
 is grown only when a model-greedy proposal first needs it, so a refit that
 is replaced before any proposal uses it costs nothing.
@@ -27,14 +27,12 @@ import logging
 import math
 from dataclasses import dataclass, field
 from random import Random
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .core import Instance, Metric, RunRecord, penalized_score
 from .perfmodel import ForestParams, PerformanceModel, fit_forest
-from .rundata import RunDataStore
-from .runner import Backend, BudgetLedger, execute_run
 from .space import (
     Configuration,
     ParameterSpace,
@@ -48,6 +46,9 @@ from .space import (
 logger = logging.getLogger(__name__)
 
 MIN_CAP = 0.05  # smallest cutoff handed to a capped challenger run
+
+# (config, instance, cutoff, seed) -> (record, budget cost) of one run
+Evaluate = Callable[[Configuration, Instance, float, int], tuple[RunRecord, float]]
 
 
 @dataclass(frozen=True)
@@ -78,15 +79,10 @@ def configure(
     cutoff: float,
     budget: float,
     metric: Metric,
-    store: RunDataStore,
+    evaluate: Evaluate,
     seed: int,
     *,
     initial_incumbent: Configuration | None = None,
-    backend: Backend | None = None,
-    evaluator=None,
-    ledger: BudgetLedger | None = None,
-    phase: int | None = None,
-    subset_index: int | None = None,
     settings: ConfiguratorSettings | None = None,
 ) -> Configuration:
     """Search the space for the configuration minimizing the penalized
@@ -94,30 +90,16 @@ def configure(
     reaches the budget.
 
     ``initial_incumbent`` warm-starts the search (the default configuration
-    otherwise). Each run goes to ``evaluator.run`` when an evaluator is
-    given, which returns the record and its budget cost; otherwise it is one
-    ``backend`` run, recorded in the store and charged to the ledger. A
-    budget below one cutoff performs no runs and returns the starting
-    incumbent with a warning.
+    otherwise). Each run is one ``evaluate(config, instance, cutoff, seed)``
+    call, which returns the run's record and its budget cost. A budget below
+    one cutoff performs no runs and returns the starting incumbent with a
+    warning.
     """
     if budget <= 0:
         raise ValueError("budget must be positive")
     if not instances:
         raise ValueError("no instances to configure on")
     settings = settings or ConfiguratorSettings()
-    if evaluator is not None:
-        evaluate = evaluator.run
-    elif backend is None:
-        raise ValueError("either a backend or an evaluator is required")
-    else:
-
-        def evaluate(config, instance, cap, seed) -> tuple[RunRecord, float]:
-            record = execute_run(
-                backend, config, instance, cap, seed, store=store, ledger=ledger,
-                phase=phase, subset_index=subset_index,
-            )
-            return record, record.runtime
-
     incumbent = initial_incumbent if initial_incumbent is not None else default_config(space)
     if budget < cutoff:
         logger.warning(

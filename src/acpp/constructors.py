@@ -54,7 +54,7 @@ from .core import (
 )
 from .perfmodel import ForestParams
 from .rundata import RunDataStore
-from .runner import Backend, BudgetLedger, ExternalBackend, evaluate_portfolio
+from .runner import Backend, BudgetLedger, ExternalBackend, evaluate_portfolio, execute_run
 from .space import (
     Configuration,
     compose_product_space,
@@ -302,19 +302,23 @@ def construct_grouped(
 
             def conf_subset(j: int) -> Configuration:
                 subset = [train_by_id[i] for i in grouping.subsets[j]]
+
+                def evaluate(config, instance, cap, run_seed):
+                    record = execute_run(
+                        backend, config, instance, cap, run_seed, store=store,
+                        ledger=ledger, phase=phase_idx, subset_index=j,
+                    )
+                    return record, record.runtime
+
                 return configure(
                     scenario.space,
                     subset,
                     scenario.cutoff,
                     phase_budget,
                     scenario.metric,
-                    store,
+                    evaluate,
                     derive_seed(rep_seed, "configure", phase_idx, j),
                     initial_incumbent=incumbents[j],
-                    backend=backend,
-                    ledger=ledger,
-                    phase=phase_idx,
-                    subset_index=j,
                     settings=settings,
                 )
 
@@ -657,10 +661,9 @@ def construct_parhydra(
                 scenario.cutoff,
                 plan.t_c,
                 scenario.metric,
-                store,
+                evaluator.run,
                 derive_seed(seed, "iteration", iteration, "rep", rep),
                 initial_incumbent=initial,
-                evaluator=evaluator,
                 settings=settings,
             )
             return decode_product_config(scenario.space, winner, b), store

@@ -143,20 +143,6 @@ class TestPipeline:
             ["construct", "--method", "pcit", "--scenario", str(tmp_path / "nope.json")]
         ) == 1
 
-    def test_budget_env_override(self, scenario_dir, tmp_path, monkeypatch):
-        scenario = str(scenario_dir / "scenario.json")
-        monkeypatch.setenv("ACPP_TC", "200s")
-        monkeypatch.setenv("ACPP_R", "1")
-        out = tmp_path / "env"
-        assert run_command(
-            ["construct", "--method", "pcrs", "--scenario", scenario,
-             "--seed", "2", "--out-dir", str(out)]
-        ) == 0
-        log = [json.loads(l) for l in (out / "construction_log.jsonl").read_text().splitlines()]
-        ledger = next(e for e in log if e["event"] == "ledger")
-        # one repetition, two subsets, ~200s each plus overshoot
-        assert ledger["configuration_time"] < 2 * (200.0 + 20.0) + 1e-9
-
     def test_unknown_method_exits_two(self, scenario_dir):
         with pytest.raises(SystemExit) as err:
             run_command(["construct", "--method", "sorcery", "--scenario", "x"])

@@ -10,7 +10,7 @@ from acpp.configurator import ConfiguratorSettings, configure
 from acpp.core import Instance, Metric, RunStatus
 from acpp.perfmodel import ForestParams, PerformanceModel
 from acpp.rundata import RunDataStore
-from acpp.runner import BudgetLedger
+from acpp.runner import BudgetLedger, execute_run
 from acpp.space import default_config, enumerate_configs, make_config, parse_space
 from acpp.synthetic import SyntheticBackend, SyntheticScenarioSpec
 
@@ -35,6 +35,17 @@ mode | strategy in {careful, hybrid}
 level | mode in {deep}
 rate | strategy in {hybrid}
 """
+
+
+def backend_runs(backend, store, ledger=None):
+    """``configure``'s ``evaluate``: one backend run, recorded in the store
+    and charged to the ledger at its runtime."""
+
+    def evaluate(config, instance, cutoff, seed):
+        record = execute_run(backend, config, instance, cutoff, seed, store=store, ledger=ledger)
+        return record, record.runtime
+
+    return evaluate
 
 
 class NumericBackend:
@@ -95,8 +106,8 @@ class TestContracts:
         initial = make_config(space, {"strategy": "v5"})
         with caplog.at_level(logging.WARNING):
             result = configure(
-                space, instances, cutoff, cutoff / 2, Metric.PAR10, store, 1,
-                initial_incumbent=initial, backend=backend, settings=FAST_SETTINGS,
+                space, instances, cutoff, cutoff / 2, Metric.PAR10, backend_runs(backend, store), 1,
+                initial_incumbent=initial, settings=FAST_SETTINGS,
             )
         assert result == initial
         assert len(store) == 0
@@ -110,8 +121,8 @@ class TestContracts:
         )
         store = RunDataStore()
         result = configure(
-            space, [Instance("i0", (0.0,))], 30.0, 500.0, Metric.PAR10, store, 3,
-            backend=SyntheticBackend(spec), settings=FAST_SETTINGS,
+            space, [Instance("i0", (0.0,))], 30.0, 500.0, Metric.PAR10,
+            backend_runs(SyntheticBackend(spec), store), 3, settings=FAST_SETTINGS,
         )
         assert result == make_config(space, {"strategy": "v0"})
 
@@ -119,8 +130,8 @@ class TestContracts:
         space, instances, backend, cutoff = scenario_with_dominant()
         store = RunDataStore()
         result = configure(
-            space, instances, cutoff, cutoff * 1.5, Metric.PAR10, store, 5,
-            backend=backend, settings=FAST_SETTINGS,
+            space, instances, cutoff, cutoff * 1.5, Metric.PAR10, backend_runs(backend, store), 5,
+            settings=FAST_SETTINGS,
         )
         # tiny budget: the default-seeded incumbent barely raced, but a valid
         # configuration is always returned
@@ -132,8 +143,8 @@ class TestContracts:
         ledger = BudgetLedger()
         budget = 600.0
         configure(
-            space, instances, cutoff, budget, Metric.PAR10, store, 7,
-            backend=backend, ledger=ledger, settings=FAST_SETTINGS,
+            space, instances, cutoff, budget, Metric.PAR10, backend_runs(backend, store, ledger), 7,
+            settings=FAST_SETTINGS,
         )
         total_recorded = sum(r.runtime for r in store.records())
         assert ledger.configuration_time == pytest.approx(total_recorded)
@@ -150,8 +161,8 @@ class TestContracts:
         store = RunDataStore()
         ledger = BudgetLedger()
         configure(
-            space, instances, cutoff, budget, Metric.PAR10, store, seed,
-            backend=backend, ledger=ledger, settings=ACCEPTANCE_FAST,
+            space, instances, cutoff, budget, Metric.PAR10, backend_runs(backend, store, ledger),
+            seed, settings=ACCEPTANCE_FAST,
         )
         assert ledger.configuration_time <= budget + cutoff
         # charged one run at a time, in the order the store records them
@@ -161,7 +172,9 @@ class TestContracts:
     def test_empty_instances_rejected(self):
         space, _, backend, cutoff = scenario_with_dominant()
         with pytest.raises(ValueError):
-            configure(space, [], cutoff, 100.0, Metric.PAR10, RunDataStore(), 0, backend=backend)
+            configure(
+                space, [], cutoff, 100.0, Metric.PAR10, backend_runs(backend, RunDataStore()), 0
+            )
 
 
 class TestSearchQuality:
@@ -173,8 +186,8 @@ class TestSearchQuality:
         for seed in range(10):
             store = RunDataStore()
             result = configure(
-                space, instances, cutoff, 2000.0, Metric.PAR10, store, seed,
-                backend=backend, settings=FAST_SETTINGS,
+                space, instances, cutoff, 2000.0, Metric.PAR10, backend_runs(backend, store), seed,
+                settings=FAST_SETTINGS,
             )
             hits += result["strategy"] == "v0"
         assert hits >= 9
@@ -184,8 +197,8 @@ class TestSearchQuality:
         best = make_config(space, {"strategy": "v0"})
         store = RunDataStore()
         result = configure(
-            space, instances, cutoff, 1500.0, Metric.PAR10, store, 11,
-            initial_incumbent=best, backend=backend, settings=FAST_SETTINGS,
+            space, instances, cutoff, 1500.0, Metric.PAR10, backend_runs(backend, store), 11,
+            initial_incumbent=best, settings=FAST_SETTINGS,
         )
         assert result == best
 
@@ -196,8 +209,8 @@ class TestSearchQuality:
             store = RunDataStore()
             results.append(
                 configure(
-                    space, instances, cutoff, 800.0, Metric.PAR10, store, 13,
-                    backend=backend, settings=FAST_SETTINGS,
+                    space, instances, cutoff, 800.0, Metric.PAR10, backend_runs(backend, store), 13,
+                    settings=FAST_SETTINGS,
                 )
             )
         assert results[0] == results[1]
@@ -216,8 +229,8 @@ class TestPinnedNumericSearch:
         space, instances, backend, cutoff = numeric_scenario()
         store = RunDataStore()
         result = configure(
-            space, instances, cutoff, 1500.0, Metric.PAR10, store, seed,
-            backend=backend, settings=ACCEPTANCE_FAST,
+            space, instances, cutoff, 1500.0, Metric.PAR10, backend_runs(backend, store), seed,
+            settings=ACCEPTANCE_FAST,
         )
         assert (result.config_id, len(store)) == self.PINNED[seed]
 
@@ -253,8 +266,8 @@ class TestLazyFits:
         grown, served = self.track(monkeypatch)
         space, instances, backend, cutoff = numeric_scenario()
         configure(
-            space, instances, cutoff, 1500.0, Metric.PAR10, RunDataStore(), seed,
-            backend=backend, settings=settings,
+            space, instances, cutoff, 1500.0, Metric.PAR10, backend_runs(backend, RunDataStore()),
+            seed, settings=settings,
         )
         assert grown
         assert all(any(user is model for user in served) for model in grown)
@@ -272,7 +285,7 @@ class TestLazyFits:
         store = RunDataStore()
         configure(
             space, [Instance(i, (float(j),)) for j, i in enumerate(ids)], 30.0, 500.0,
-            Metric.PAR10, store, 3, backend=SyntheticBackend(spec), settings=FAST_SETTINGS,
+            Metric.PAR10, backend_runs(SyntheticBackend(spec), store), 3, settings=FAST_SETTINGS,
         )
         runtimes = {record.runtime for record in store.records()}
         assert len(store) == 30 and len(runtimes) > 1

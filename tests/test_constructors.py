@@ -27,6 +27,7 @@ from acpp.core import Metric, RunStatus, penalized_score
 from acpp.perfmodel import ForestParams
 from acpp.rundata import RunDataStore
 from acpp.synthetic import SyntheticBackend, generate_synthetic_scenario
+from tests.test_configurator import backend_runs
 
 HOURS = 3600.0
 
@@ -219,16 +220,14 @@ class TestGroupedConstructors:
         plan = plan_budget("pcrs", 1, 900.0, 300.0, 1)
         result = construct_pcrs(sc, plan, seed=21, backend=syn.backend(), settings=FAST)
         rep_seed = derive_seed(21, "rep", 0)
-        store = RunDataStore()
         direct = configure(
             sc.space,
             list(sc.train_instances),
             sc.cutoff,
             900.0,
             sc.metric,
-            store,
+            backend_runs(syn.backend(), RunDataStore()),
             derive_seed(rep_seed, "configure", 1, 0),
-            backend=syn.backend(),
             settings=FAST,
         )
         assert result.portfolio.components == (direct,)
