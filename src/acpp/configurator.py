@@ -13,12 +13,12 @@ incumbent only when it has run on every instance the incumbent has been
 measured on and its mean score over them is strictly lower, so the
 incumbent's mean estimate never gets worse at a handover.
 
-All runs go through one ``evaluate`` callable supplied by the caller, which
-records and charges them as it sees fit; the model is fit on this call's
-own runs, which keeps concurrent per-subset configuration deterministic. Fits are lazy: a
-refit draws its seed and fixes its row count when it is due, but the forest
-is grown only when a model-greedy proposal first needs it, so a refit that
-is replaced before any proposal uses it costs nothing.
+All runs go through the caller's ``evaluate``, which records and charges
+them; the model is fit on this call's own runs, which keeps concurrent
+per-subset configuration deterministic. Fits are lazy: a refit draws its
+seed and fixes its row count when it is due, but the forest is grown only
+when a model-greedy proposal first needs it, so a refit that is replaced
+before any proposal uses it costs nothing.
 """
 
 from __future__ import annotations
@@ -46,9 +46,6 @@ from .space import (
 logger = logging.getLogger(__name__)
 
 MIN_CAP = 0.05  # smallest cutoff handed to a capped challenger run
-
-# (config, instance, cutoff, seed) -> (record, budget cost) of one run
-Evaluate = Callable[[Configuration, Instance, float, int], tuple[RunRecord, float]]
 
 
 @dataclass(frozen=True)
@@ -79,7 +76,7 @@ def configure(
     cutoff: float,
     budget: float,
     metric: Metric,
-    evaluate: Evaluate,
+    evaluate: Callable[[Configuration, Instance, float, int], tuple[RunRecord, float]],
     seed: int,
     *,
     initial_incumbent: Configuration | None = None,

@@ -11,15 +11,14 @@ Training rows are put into a canonical order and per-tree seeds are derived
 from the master seed, so fitting is invariant to record order and to any
 training-thread schedule.
 
-Each tree grows on one path: every node holds its samples as Python lists,
-which at the row counts this model sees (a few hundred to a few thousand)
-costs less than numpy's per-call overhead. Sums follow numpy's pairwise
-order, so the trees are those a per-node numpy implementation grows. Every
-split node draws its candidate columns as
-``rng.choice(n_cols, size=n_try, replace=False)`` would: ``_ColumnDraw``
+Each tree grows on one path, with every node's samples held as Python
+lists: on the few columns and the tens to thousands of rows this model
+sees, that costs less than numpy's per-call overhead. Sums follow numpy's
+pairwise order, and every split node draws its candidate columns as
+``rng.choice(n_cols, size=n_try, replace=False)`` would (``_ColumnDraw``
 mirrors numpy's ``Generator.choice`` algorithm on the tree generator's
-PCG64 stream, so the trees are the ones that call grows, at a fraction of
-its cost.
+PCG64 stream at a fraction of its cost), so the trees are the ones a
+per-node numpy implementation grows.
 """
 
 from __future__ import annotations
@@ -539,6 +538,7 @@ def _best_categorical_split(
         n_l = list(itertools.accumulate(counts[c] for c in order))
         s_l = list(itertools.accumulate(sums[c] for c in order))
         q_l = list(itertools.accumulate(sqs[c] for c in order))
+        # squares are ``x * x`` here, as numpy's ``** 2`` on an array gives
         for i in range(m - 1):  # the last cut would hold every category
             left_n, left_sum = n_l[i], s_l[i]
             if left_n >= min_leaf and total_n - left_n >= min_leaf:
