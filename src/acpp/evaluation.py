@@ -1,5 +1,9 @@
 """Test-set protocol and statistics: repeated runs with per-instance
 medians, timeout/PAR summaries, and the paired sign-flip permutation test.
+
+``compare_reports`` tests the timeout, PAR-10 and PAR-1 differences of two
+reports on one set of sign flips, drawn once. Its p-values do not depend on
+the BLAS thread count (see ``_sign_flip_hits``).
 """
 
 from __future__ import annotations
@@ -142,35 +146,9 @@ def permutation_test(
     b = np.asarray(scores_b, dtype=float)
     if a.shape != b.shape or a.ndim != 1:
         raise ValueError("score vectors must be 1-d and of equal length")
-    if len(a) < 1:
-        raise ValueError("need at least one pair")
-    if n_permutations < 1:
-        raise ValueError("need at least one permutation")
     diffs = a - b
-    observed = abs(float(diffs.mean()))
-    rng = np.random.default_rng(seed)
-    n = len(diffs)
-    hits = 0
-    remaining = n_permutations
-    # blocks of at most 2**20 signs: successive draws continue one stream,
-    # so the blocking does not change which signs are drawn
-    batch = max(1, (1 << 20) // n)
-    while remaining > 0:
-        m = min(batch, remaining)
-        signs = rng.integers(0, 2, size=(m, n)).astype(np.float64)
-        signs *= 2
-        signs -= 1
-        means = np.abs(signs @ diffs) / n
-        hits += int((means >= observed).sum())
-        remaining -= m
-    p = (1 + hits) / (1 + n_permutations)
-    return PermutationOutcome(
-        p_value=p,
-        significant=p < alpha,
-        observed_mean_difference=float(diffs.mean()),
-        n_permutations=n_permutations,
-        alpha=alpha,
-    )
+    (hits,) = _sign_flip_hits([diffs], n_permutations, seed)
+    return _outcome(diffs, hits, n_permutations, alpha)
 
 
 def compare_reports(
@@ -181,19 +159,103 @@ def compare_reports(
     seed: int = 0,
 ) -> dict[str, PermutationOutcome]:
     """Permutation tests on the paired timeout (0/1), PAR-10 and PAR-1
-    per-instance scores of two reports over the same instance set."""
-    ids_a = [r.instance_id for r in report_a.per_instance]
-    ids_b = {r.instance_id for r in report_b.per_instance}
-    if set(ids_a) != ids_b:
+    per-instance scores of two reports over the same instance set and
+    cutoff. Each outcome equals ``permutation_test`` on that score kind with
+    the same seed; the three share one draw of the sign flips."""
+    ids = [r.instance_id for r in report_a.per_instance]
+    if set(ids) != {r.instance_id for r in report_b.per_instance}:
         raise ValueError("reports cover different instance sets")
-    out = {}
+    if report_a.cutoff != report_b.cutoff:
+        raise ValueError(
+            f"reports have different cutoffs ({report_a.cutoff} and {report_b.cutoff}), "
+            "so their PAR scores are on different scales"
+        )
+    diffs = {}
     for kind in ("timeout", "par10", "par1"):
         vec_a = report_a.score_vector(kind)
         vec_b = report_b.score_vector(kind)
-        a = [vec_a[i] for i in ids_a]
-        b = [vec_b[i] for i in ids_a]
-        out[kind] = permutation_test(a, b, n_permutations, alpha, seed)
-    return out
+        diffs[kind] = np.array([vec_a[i] for i in ids]) - np.array([vec_b[i] for i in ids])
+    hits = _sign_flip_hits(list(diffs.values()), n_permutations, seed)
+    return {
+        kind: _outcome(d, h, n_permutations, alpha) for (kind, d), h in zip(diffs.items(), hits)
+    }
+
+
+def _outcome(diffs: np.ndarray, hits: int, n_permutations: int, alpha: float) -> PermutationOutcome:
+    p = (1 + hits) / (1 + n_permutations)
+    return PermutationOutcome(
+        p_value=p,
+        significant=p < alpha,
+        observed_mean_difference=float(diffs.mean()),
+        n_permutations=n_permutations,
+        alpha=alpha,
+    )
+
+
+# OpenBLAS computes a matrix-vector product of fewer than 2304 * 4 cells on
+# the calling thread (interface/gemv.c, GEMM_MULTITHREAD_THRESHOLD = 4). A
+# larger one is split by rows over its threads. Its x86-64 dgemv_t kernels
+# sum the rows of ``signs`` in groups of 4 and the rest on a remainder path
+# that can round differently, so the last rows of each thread's share could
+# make a permuted mean that ties the observed one count at one thread count
+# and not at another.
+_ONE_THREAD_CELLS = 2304 * 4
+_ROW_GROUP = 4
+
+
+def _sign_flip_hits(diffs: Sequence[np.ndarray], n_permutations: int, seed: int) -> list[int]:
+    """For each difference vector ``d`` of length n, count the sign flips
+    ``s`` with ``|s @ d| / n >= |mean(d)|``; every vector is tested on the
+    same flips.
+
+    The flips are ``rng.integers(0, 2, size=(m, n)) * 2 - 1`` on
+    ``np.random.default_rng(seed)``, drawn in blocks of ``m = 2**20 // n``
+    rows, but read straight from the PCG64 stream. With range 2, numpy's
+    Lemire draw takes one 32-bit word per cell, never rejects (its threshold
+    is (2**32 - 2) % 2 = 0) and returns the word's top bit. PCG64 serves the
+    low half of each 64-bit output first, so a block with an odd cell count
+    leaves the high half to the next block.
+
+    Each vector gets its own product per block, in row slices of fewer
+    than ``_ONE_THREAD_CELLS`` cells and whole ``_ROW_GROUP``s. OpenBLAS
+    keeps each slice on one thread, so each row's sum is the one that a
+    single ``signs @ d`` over the block gives on one thread, and the counts
+    do not depend on the BLAS thread count (up to 2,303 pairs; beyond that a
+    slice of 4 rows is already split). A single product with all vectors as
+    columns would sum in another order and could move a tie.
+    """
+    n = len(diffs[0])
+    if n < 1:
+        raise ValueError("need at least one pair")
+    if n_permutations < 1:
+        raise ValueError("need at least one permutation")
+    observed = [abs(float(d.mean())) for d in diffs]
+    hits = [0] * len(diffs)
+    bit_gen = np.random.default_rng(seed).bit_generator
+    carry = np.empty(0, dtype="<u4")  # the unused high half of the last output
+    batch = max(1, (1 << 20) // n)
+    rows = max(_ROW_GROUP, (_ONE_THREAD_CELLS - 1) // n // _ROW_GROUP * _ROW_GROUP)
+    remaining = n_permutations
+    while remaining > 0:
+        m = min(batch, remaining)
+        cells, c = m * n, len(carry)
+        words = bit_gen.random_raw((cells - c + 1) // 2).astype("<u8", copy=False).view("<u4")
+        signs = np.empty(cells)
+        signs[:c] = carry >> 31
+        signs[c:] = words[: cells - c] >> 31
+        carry = words[cells - c :].copy()
+        signs *= 2
+        signs -= 1
+        signs = signs.reshape(m, n)
+        sums = np.empty((len(diffs), m))
+        for start in range(0, m, rows):
+            stop = start + rows
+            for d, out in zip(diffs, sums):
+                np.matmul(signs[start:stop], d, out=out[start:stop])
+        for j, s in enumerate(sums):
+            hits[j] += int((np.abs(s) / n >= observed[j]).sum())
+        remaining -= m
+    return hits
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from acpp import constructors
 from acpp.configurator import ConfiguratorSettings, configure
@@ -23,7 +25,7 @@ from acpp.constructors import (
     plan_budget,
     validate_and_select,
 )
-from acpp.core import Metric, RunStatus, penalized_score
+from acpp.core import Metric, RunStatus, clamp_run, penalized_score
 from acpp.perfmodel import ForestParams
 from acpp.rundata import RunDataStore
 from acpp.synthetic import SyntheticBackend, generate_synthetic_scenario
@@ -266,6 +268,32 @@ class TestGroupedConstructors:
         assert result.ledger.configuration_time <= plan.r * sc.k * plan.t_c + config_calls * sc.cutoff
         assert result.ledger.validation_time <= plan.r * sc.k * (plan.t_v + sc.cutoff)
         assert result.ledger.total <= plan.total_cpu + (config_calls + plan.r * sc.k) * sc.cutoff
+
+    @settings(max_examples=8, deadline=None)
+    @given(
+        scenario_seed=st.integers(0, 3),
+        seed=st.integers(0, 2**31 - 1),
+        method=st.sampled_from(["pcit", "pcrs"]),
+    )
+    def test_ledger_adds_up_over_a_construction(self, scenario_seed, seed, method):
+        syn = tiny_synthetic(seed=scenario_seed, train=12)
+        plan = plan_budget(method, 2, 300.0, 100.0, 2, n=3)
+        backend = syn.backend()
+        charged = []  # the clamped runtime of every run the backend served
+        solve = backend.run
+
+        def run(config, instance, cutoff, run_seed):
+            status, runtime = solve(config, instance, cutoff, run_seed)
+            charged.append(clamp_run(status, runtime, cutoff)[1])
+            return status, runtime
+
+        backend.run = run
+        result = construct_pcit(
+            syn.scenario, plan, seed, backend, settings=FAST, transfer_forest=SMALL_TRANSFER
+        )
+        stored = [r.runtime for store in result.stores for r in store.records()]
+        assert math.isclose(result.ledger.configuration_time, math.fsum(stored), rel_tol=1e-9)
+        assert math.isclose(result.ledger.total, math.fsum(charged), rel_tol=1e-9)
 
     def test_crashing_repetition_excluded_with_warning(self, caplog):
         check_first_repetition_excluded("pcrs", caplog)

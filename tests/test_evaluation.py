@@ -1,9 +1,19 @@
+import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from acpp.core import Instance, RunStatus
+import acpp
+from acpp.cli import run_command
+from acpp.core import Instance, RunStatus, penalized_score
+from acpp.evaluation import TestReport as Report
 from acpp.evaluation import test_portfolio as run_test_protocol
 from acpp.evaluation import (
+    InstanceTestResult,
     compare_reports,
     format_table,
     permutation_test,
@@ -46,6 +56,50 @@ class CyclingBackend:
         out = self.outcomes[self.calls % len(self.outcomes)]
         self.calls += 1
         return out
+
+
+def make_report(label, runs, cutoff):
+    """A one-repetition report of ``(status, runtime)`` runs on instances
+    ``i00``, ``i01``, ..."""
+    per_instance = tuple(
+        InstanceTestResult(f"i{j:02d}", status, runtime, (runtime,), (status.value,))
+        for j, (status, runtime) in enumerate(runs)
+    )
+    timeouts = sum(1 for res in per_instance if res.timed_out)
+
+    def par(penalty):
+        scores = [penalized_score(status, runtime, cutoff, penalty) for status, runtime in runs]
+        return sum(scores) / len(scores) if scores else 0.0
+
+    return Report(label, cutoff, 1, per_instance, timeouts, 0, par(10), par(1))
+
+
+def tied_par10_reports(n, seed):
+    """Two reports at cutoff 10 whose PAR-10 scores tie often, as in
+    ``test_tied_p_value_unchanged_by_blocking``."""
+    rng = np.random.default_rng(100 * n + seed)
+    side = rng.choice(4, size=n, p=[0.6, 0.2, 0.1, 0.1])
+    timeout = (RunStatus.TIMEOUT, 10.0)
+    a_runs = {0: timeout, 1: (RunStatus.SOLVED, 2.5), 2: timeout, 3: (RunStatus.SOLVED, 1.25)}
+    b_runs = {0: timeout, 1: timeout, 2: (RunStatus.SOLVED, 2.5), 3: (RunStatus.SOLVED, 3.75)}
+    return (
+        make_report("a", [a_runs[s] for s in side], 10.0),
+        make_report("b", [b_runs[s] for s in side], 10.0),
+    )
+
+
+def blocked_compare_lines(path_a, path_b):
+    """The p-value parts of ``acpp compare``'s output on two report files at
+    the default seed and permutation count, each score kind tested on its own
+    blocked draw."""
+    a, b = read_report(path_a), read_report(path_b)
+    lines = []
+    for kind in ("timeout", "par10", "par1"):
+        vec_a, vec_b = a.score_vector(kind), b.score_vector(kind)
+        diffs = np.array(list(vec_a.values())) - np.array([vec_b[i] for i in vec_a])
+        p = TestPermutationTest.blocked_p_value(diffs, 100_000, 0)
+        lines.append(f"{kind:>8}: p={p:.6f} (")
+    return lines
 
 
 class TestTestPortfolio:
@@ -177,6 +231,23 @@ class TestPermutationTest:
             remaining -= m
         return (1 + hits) / (1 + n_permutations)
 
+    @staticmethod
+    def blocked_p_value(diffs, n_permutations, seed):
+        """The p-value as computed before the score kinds shared one draw:
+        ``rng.integers`` signs in blocks of 2**20 and one product per block."""
+        observed = abs(float(diffs.mean()))
+        rng = np.random.default_rng(seed)
+        n = len(diffs)
+        hits = 0
+        remaining = n_permutations
+        batch = max(1, (1 << 20) // n)
+        while remaining > 0:
+            m = min(batch, remaining)
+            signs = rng.integers(0, 2, size=(m, n)).astype(np.float64) * 2 - 1
+            hits += int((np.abs(signs @ diffs) / n >= observed).sum())
+            remaining -= m
+        return (1 + hits) / (1 + n_permutations)
+
     # 24 and 25 pairs fit 43,690 and 41,943 permutations in a block, 80 and
     # 81 pairs 13,107 and 12,945: 100,000 permutations take 3 and 8 blocks
     @pytest.mark.parametrize("n", [1, 2, 7, 24, 25, 80, 81])
@@ -203,6 +274,70 @@ class TestPermutationTest:
         a[side == 3], b[side == 3] = 1.25, 3.75  # both solve
         outcome = permutation_test(a.tolist(), b.tolist(), n_permutations=100_000, seed=seed)
         assert outcome.p_value == self.unblocked_p_value(a, b, 100_000, seed)
+
+    # 50,001 permutations end on a partial block at every n; at 81 pairs a
+    # block of 12,945 rows has an odd cell count, so its last 64-bit output
+    # leaves a half to the next block
+    @pytest.mark.parametrize("n", [24, 80, 81])
+    def test_compare_shares_one_draw(self, n):
+        a, b = tied_par10_reports(n, seed=1)
+        outcomes = compare_reports(a, b, n_permutations=50_001, seed=3)
+        assert list(outcomes) == ["timeout", "par10", "par1"]
+        for kind, outcome in outcomes.items():
+            vec_a, vec_b = a.score_vector(kind), b.score_vector(kind)
+            scores_a, scores_b = list(vec_a.values()), [vec_b[i] for i in vec_a]
+            assert outcome == permutation_test(scores_a, scores_b, n_permutations=50_001, seed=3)
+            assert outcome.p_value == self.unblocked_p_value(
+                np.array(scores_a), np.array(scores_b), 50_001, 3
+            )
+
+    def test_compare_needs_pairs_and_permutations(self):
+        empty = make_report("empty", [], 10.0)
+        with pytest.raises(ValueError, match="at least one pair"):
+            compare_reports(empty, empty)
+        a, b = tied_par10_reports(24, seed=0)
+        with pytest.raises(ValueError, match="at least one permutation"):
+            compare_reports(a, b, n_permutations=0)
+
+    # PAR-1 differences repeat with both signs, so many permuted means equal
+    # the observed one up to rounding, and a row summed on another path can
+    # move the PAR-1 p-value by 1e-5: at seed 35 a two-thread OpenBLAS
+    # product over a whole block does, at seed 2 row slices that are not
+    # whole groups of 4 rows do
+    @pytest.mark.parametrize("seed", [2, 35])
+    def test_compare_output_independent_of_blas_threads(self, tmp_path, seed):
+        rng = np.random.default_rng(seed)
+        delta = rng.choice(
+            [0.0, 1.37, -1.37, 2.91, -2.91, 0.1, -0.1, 3.3],
+            size=80, p=[0.4, 0.1, 0.1, 0.1, 0.1, 0.08, 0.07, 0.05],
+        )
+        reports = [str(tmp_path / "a.json"), str(tmp_path / "b.json")]
+        write_report(make_report("a", [(RunStatus.SOLVED, 5.0)] * 80, 10.0), reports[0])
+        write_report(make_report("b", [(RunStatus.SOLVED, 5.0 - x) for x in delta], 10.0), reports[1])
+        src = str(Path(acpp.__file__).resolve().parents[1])
+
+        def run(threads, *args):
+            return subprocess.run(
+                [sys.executable, *args],
+                env=dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src),
+                cwd=Path(__file__).resolve().parents[1],
+                capture_output=True, text=True, check=True, timeout=300,
+            ).stdout
+
+        compare = ["-m", "acpp", "compare", "--reports", *reports]
+        one_thread = run("1", *compare)
+        assert one_thread == run("2", *compare)
+        # on one thread the whole-block products of the blocked reference sum
+        # every row as the row slices do
+        reference = run(
+            "1", "-c",
+            "import sys; from tests.test_evaluation import blocked_compare_lines; "
+            "print(*blocked_compare_lines(*sys.argv[1:]), sep='\\n')",
+            *reports,
+        )
+        assert len(reference.splitlines()) == 3
+        for line in reference.splitlines():
+            assert line in one_thread
 
 
 class TestReports:
@@ -242,3 +377,14 @@ class TestReports:
         b = run_test_protocol(b_backend, [config], [Instance("other")], 60.0)
         with pytest.raises(ValueError, match="instance sets"):
             compare_reports(a, b, n_permutations=10)
+
+    def test_compare_requires_same_cutoff(self, space, tmp_path, caplog):
+        a = self._report(space)
+        b = dataclasses.replace(self._report(space, label="b"), cutoff=30.0)
+        with pytest.raises(ValueError, match="different cutoffs"):
+            compare_reports(a, b, n_permutations=10)
+        write_report(a, tmp_path / "a.json")
+        write_report(b, tmp_path / "b.json")
+        argv = ["compare", "--reports", str(tmp_path / "a.json"), str(tmp_path / "b.json")]
+        assert run_command(argv) == 1
+        assert "different cutoffs (60.0 and 30.0)" in caplog.text
