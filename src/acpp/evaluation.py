@@ -3,12 +3,15 @@ medians, timeout/PAR summaries, and the paired sign-flip permutation test.
 
 ``compare_reports`` tests the timeout, PAR-10 and PAR-1 differences of two
 reports on one set of sign flips, drawn once. Its p-values do not depend on
-the BLAS thread count (see ``_sign_flip_hits``).
+the BLAS thread count (see ``_sign_flip_hits``). The flips are streamed
+chunk by chunk through one buffer of about 2**16 cells, so the test's
+memory does not grow with the permutation count.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -140,7 +143,8 @@ def permutation_test(
 
     p = (1 + #{permuted |mean| >= observed |mean|}) / (1 + n_permutations),
     so p is in (0, 1] and equals 1.0 for identical inputs; swapping the two
-    sides gives the identical p-value under the same seed.
+    sides gives the identical p-value under the same seed. A difference
+    that is not finite raises ``ValueError``.
     """
     a = np.asarray(scores_a, dtype=float)
     b = np.asarray(scores_b, dtype=float)
@@ -160,9 +164,17 @@ def compare_reports(
 ) -> dict[str, PermutationOutcome]:
     """Permutation tests on the paired timeout (0/1), PAR-10 and PAR-1
     per-instance scores of two reports over the same instance set and
-    cutoff. Each outcome equals ``permutation_test`` on that score kind with
-    the same seed; the three share one draw of the sign flips."""
+    cutoff, each instance listed once. Each outcome equals
+    ``permutation_test`` on that score kind with the same seed; the three
+    share one draw of the sign flips."""
     ids = [r.instance_id for r in report_a.per_instance]
+    for report in (report_a, report_b):
+        listed = Counter(r.instance_id for r in report.per_instance)
+        repeated = [i for i, count in listed.items() if count > 1]
+        if repeated:
+            raise ValueError(
+                f"report {report.label!r} lists instance {repeated[0]!r} more than once"
+            )
     if set(ids) != {r.instance_id for r in report_b.per_instance}:
         raise ValueError("reports cover different instance sets")
     if report_a.cutoff != report_b.cutoff:
@@ -201,6 +213,12 @@ def _outcome(diffs: np.ndarray, hits: int, n_permutations: int, alpha: float) ->
 # and not at another.
 _ONE_THREAD_CELLS = 2304 * 4
 _ROW_GROUP = 4
+# Signs are made and multiplied one chunk of whole row slices at a time, in a
+# buffer of about this many float64 cells (0.5 MiB) that stays in the core's
+# 2 MiB L2 cache. On a 2-core Xeon at one OpenBLAS thread, one 3-vector call
+# at 24, 80 and 300 pairs ran fastest at 2**16 or 2**17 cells; at 2**14 a
+# chunk holds a single slice of about 9,000 cells, and 2**18 was slower again.
+_CHUNK_CELLS = 1 << 16
 
 
 def _sign_flip_hits(diffs: Sequence[np.ndarray], n_permutations: int, seed: int) -> list[int]:
@@ -214,10 +232,19 @@ def _sign_flip_hits(diffs: Sequence[np.ndarray], n_permutations: int, seed: int)
     Lemire draw takes one 32-bit word per cell, never rejects (its threshold
     is (2**32 - 2) % 2 = 0) and returns the word's top bit. PCG64 serves the
     low half of each 64-bit output first, so a block with an odd cell count
-    leaves the high half to the next block.
+    leaves the high half of its last output to the next block.
 
-    Each vector gets its own product per block, in row slices of fewer
-    than ``_ONE_THREAD_CELLS`` cells and whole ``_ROW_GROUP``s. OpenBLAS
+    No block is built whole. The signs are streamed chunk by chunk through
+    one preallocated buffer of about ``_CHUNK_CELLS`` cells: each chunk reads
+    only its own words, writes their top bits into the buffer, takes each
+    bit (a carried one too) to ``bit * 2 - 1`` in place, multiplies and
+    counts. So the memory does not grow with the permutation count or the
+    block size, only with n when a single row slice exceeds the buffer.
+
+    Each vector gets its own product per row slice of fewer than
+    ``_ONE_THREAD_CELLS`` cells and whole ``_ROW_GROUP``s, counted from the
+    start of each block; a chunk is a run of whole slices inside one block,
+    so a block's short last slice is the same as without chunks. OpenBLAS
     keeps each slice on one thread, so each row's sum is the one that a
     single ``signs @ d`` over the block gives on one thread, and the counts
     do not depend on the BLAS thread count (up to 2,303 pairs; beyond that a
@@ -229,31 +256,42 @@ def _sign_flip_hits(diffs: Sequence[np.ndarray], n_permutations: int, seed: int)
         raise ValueError("need at least one pair")
     if n_permutations < 1:
         raise ValueError("need at least one permutation")
+    if not all(np.isfinite(d).all() for d in diffs):
+        raise ValueError("score differences must be finite")
     observed = [abs(float(d.mean())) for d in diffs]
     hits = [0] * len(diffs)
     bit_gen = np.random.default_rng(seed).bit_generator
-    carry = np.empty(0, dtype="<u4")  # the unused high half of the last output
     batch = max(1, (1 << 20) // n)
     rows = max(_ROW_GROUP, (_ONE_THREAD_CELLS - 1) // n // _ROW_GROUP * _ROW_GROUP)
+    chunk = min(max(1, _CHUNK_CELLS // (rows * n)) * rows, batch, n_permutations)
+    signs = np.empty(chunk * n)
+    sums = np.empty(chunk)
+    above = np.empty(chunk, dtype=bool)
+    carry: list[int] = []  # top bit of the unused high half of the last output
     remaining = n_permutations
     while remaining > 0:
         m = min(batch, remaining)
-        cells, c = m * n, len(carry)
-        words = bit_gen.random_raw((cells - c + 1) // 2).astype("<u8", copy=False).view("<u4")
-        signs = np.empty(cells)
-        signs[:c] = carry >> 31
-        signs[c:] = words[: cells - c] >> 31
-        carry = words[cells - c :].copy()
-        signs *= 2
-        signs -= 1
-        signs = signs.reshape(m, n)
-        sums = np.empty((len(diffs), m))
-        for start in range(0, m, rows):
-            stop = start + rows
-            for d, out in zip(diffs, sums):
-                np.matmul(signs[start:stop], d, out=out[start:stop])
-        for j, s in enumerate(sums):
-            hits[j] += int((np.abs(s) / n >= observed[j]).sum())
+        for first in range(0, m, chunk):
+            r = min(chunk, m - first)
+            cells, c = r * n, len(carry)
+            words = bit_gen.random_raw((cells - c + 1) // 2).astype("<u8", copy=False).view("<u4")
+            np.right_shift(words, 31, out=words)
+            signs[:c] = carry
+            signs[c:cells] = words[: cells - c]
+            carry = words[cells - c :].tolist()
+            del words  # free it before the next chunk's draw
+            flips = signs[:cells]
+            flips *= 2
+            flips -= 1
+            flips = flips.reshape(r, n)
+            for j, d in enumerate(diffs):
+                s, hit = sums[:r], above[:r]
+                for start in range(0, r, rows):
+                    np.matmul(flips[start : start + rows], d, out=s[start : start + rows])
+                np.abs(s, out=s)
+                s /= n
+                np.greater_equal(s, observed[j], out=hit)
+                hits[j] += int(np.count_nonzero(hit))
         remaining -= m
     return hits
 

@@ -2,6 +2,7 @@ import dataclasses
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -291,6 +292,51 @@ class TestPermutationTest:
                 np.array(scores_a), np.array(scores_b), 50_001, 3
             )
 
+    # with 4,096-cell chunks a block spans many chunks. A chunk is a whole
+    # number of 4-row slices, so a half-word is carried only out of a block
+    # that starts without one and has an odd cell count: at 25 pairs into
+    # row 41,944, at 81 pairs into rows 12,946 and 38,836, at 2,303 pairs
+    # after every second block of 455 rows. At 2,303 and 2,304 pairs a chunk
+    # is a single 4-row slice
+    @pytest.mark.parametrize("n", [1, 2, 25, 81, 2303, 2304])
+    @pytest.mark.parametrize("n_permutations", [1, 4, 12_946, 50_001])
+    def test_p_value_unchanged_by_chunk_edges(self, monkeypatch, n, n_permutations):
+        a, b = tied_par10_reports(n, seed=2)
+        default = compare_reports(a, b, n_permutations=n_permutations, seed=4)
+        monkeypatch.setattr(acpp.evaluation, "_CHUNK_CELLS", 4096)
+        outcomes = compare_reports(a, b, n_permutations=n_permutations, seed=4)
+        assert outcomes == default
+        for kind, outcome in outcomes.items():
+            vec_a, vec_b = a.score_vector(kind), b.score_vector(kind)
+            diffs = np.array(list(vec_a.values())) - np.array([vec_b[i] for i in vec_a])
+            assert outcome.p_value == self.blocked_p_value(diffs, n_permutations, 4)
+
+    # a NaN, or inf - inf, made every comparison false, so p came out as
+    # 1 / (1 + n_permutations) and "significant"
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize(
+        "a, b", [(float("nan"), 1.0), (float("inf"), float("inf")), (float("inf"), 1.0)]
+    )
+    def test_non_finite_differences_rejected(self, a, b):
+        with pytest.raises(ValueError, match="must be finite"):
+            permutation_test([1.0, a, 2.0], [1.0, b, 1.0], n_permutations=1000)
+
+    # numpy reports its buffers to tracemalloc; the signs of 100,000
+    # permutations of 80 pairs would take 61 MiB as float64
+    def test_compare_memory_does_not_grow_with_permutations(self):
+        a, b = tied_par10_reports(80, seed=1)
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            compare_reports(a, b, n_permutations=100_000)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak < 2 << 20
+
     def test_compare_needs_pairs_and_permutations(self):
         empty = make_report("empty", [], 10.0)
         with pytest.raises(ValueError, match="at least one pair"):
@@ -388,3 +434,24 @@ class TestReports:
         argv = ["compare", "--reports", str(tmp_path / "a.json"), str(tmp_path / "b.json")]
         assert run_command(argv) == 1
         assert "different cutoffs (60.0 and 30.0)" in caplog.text
+
+    def test_compare_rejects_non_finite_scores(self, space, tmp_path, caplog):
+        a = self._report(space)
+        first = dataclasses.replace(a.per_instance[0], runtime=float("nan"))
+        b = dataclasses.replace(a, label="b", per_instance=(first, *a.per_instance[1:]))
+        with pytest.raises(ValueError, match="must be finite"):
+            compare_reports(a, b, n_permutations=10)
+        write_report(a, tmp_path / "a.json")
+        write_report(b, tmp_path / "b.json")
+        argv = ["compare", "--reports", str(tmp_path / "a.json"), str(tmp_path / "b.json")]
+        assert run_command(argv) == 1
+        assert "score differences must be finite" in caplog.text
+
+    # the set check passed, and the repeated pair was counted twice
+    def test_compare_rejects_repeated_instances(self, space):
+        a = self._report(space)
+        twice = dataclasses.replace(a, per_instance=a.per_instance + a.per_instance[:1])
+        with pytest.raises(ValueError, match="lists instance 'i0' more than once"):
+            compare_reports(twice, twice, n_permutations=10)
+        with pytest.raises(ValueError, match="more than once"):
+            compare_reports(a, twice, n_permutations=10)
