@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 from pathlib import Path
@@ -48,12 +49,19 @@ def parse_duration(text: str) -> float:
     elif text.endswith("s"):
         text = text[:-1]
     try:
-        value = float(text)
+        seconds = float(text) * factor
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad duration {text!r}") from None
-    if value <= 0:
-        raise argparse.ArgumentTypeError("durations must be positive")
-    return value * factor
+    if not 0 < seconds < math.inf:
+        raise argparse.ArgumentTypeError("durations must be positive and finite")
+    return seconds
+
+
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{value} is not a positive integer")
+    return value
 
 
 def format_hours(seconds: float) -> str:
@@ -246,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, default=None)
     p.add_argument("--phases", type=int, default=None)
     p.add_argument(
-        "--cores", type=int, default=os.cpu_count(),
+        "--cores", type=positive_int, default=os.cpu_count(),
         help="worker threads for external-wrapper runs (default: CPU count); "
         "the in-process synthetic backend runs serially; results do not "
         "depend on this setting",

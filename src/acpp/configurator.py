@@ -19,6 +19,9 @@ per-subset configuration deterministic. Fits are lazy: a refit draws its
 seed and fixes its row count when it is due, but the forest is grown only
 when a model-greedy proposal first needs it, so a refit that is replaced
 before any proposal uses it costs nothing.
+
+Racing and refits follow module constants, not settings: ``REFIT_INTERVAL``,
+``CAP_SLACK``, ``MIN_INCUMBENT_COVERAGE`` and ``MIN_RACE_LENGTH``.
 """
 
 from __future__ import annotations
@@ -46,17 +49,17 @@ from .space import (
 logger = logging.getLogger(__name__)
 
 MIN_CAP = 0.05  # smallest cutoff handed to a capped challenger run
+REFIT_INTERVAL = 10  # fewest runs between two refits
+CAP_SLACK = 2.0  # a challenger's cap as a multiple of the incumbent's time
+MIN_INCUMBENT_COVERAGE = 6  # incumbent runs required before racing starts
+MIN_RACE_LENGTH = 3  # instances a challenger gets before it can be eliminated
 
 
 @dataclass(frozen=True)
 class ConfiguratorSettings:
-    refit_interval: int = 10
     refit_growth: float = 1.0  # >1 spaces refits out geometrically as data grows
     n_candidates: int = 1000
     score_instance_sample: int = 10
-    cap_slack: float = 2.0
-    min_incumbent_coverage: int = 6  # incumbent runs required before racing starts
-    min_race_length: int = 3  # instances a challenger gets before it can be eliminated
     forest: ForestParams = field(default_factory=lambda: ForestParams(n_trees=10))
 
 
@@ -129,19 +132,16 @@ def configure(
     def encode_params(config: Configuration) -> np.ndarray:
         enc = enc_cache.get(config.config_id)
         if enc is None:
-            enc = encode_config(space, config, features=())
+            enc = encode_config(space, config)
             enc_cache[config.config_id] = enc
         return enc
-
-    def encode_pair(config: Configuration, instance_id: str) -> np.ndarray:
-        return np.concatenate([encode_params(config), features[instance_id]])
 
     def do_run(config: Configuration, instance: Instance, cap: float) -> RunRecord:
         nonlocal consumed, runs_done
         record, cost = evaluate(config, instance, cap, rng.randrange(2**31))
         consumed += cost
         runs_done += 1
-        own_rows.append(encode_pair(config, instance.id))
+        own_rows.append(np.concatenate([encode_params(config), features[instance.id]]))
         score = penalized_score(record.status, record.runtime, cutoff, penalty)
         own_targets.append(math.log10(max(min(score, penalty * cutoff), 1e-3)))
         return record
@@ -154,7 +154,7 @@ def configure(
 
     def maybe_refit() -> None:
         nonlocal refit, model, last_fit
-        gap = max(settings.refit_interval, int(last_fit * (settings.refit_growth - 1.0)))
+        gap = max(REFIT_INTERVAL, int(last_fit * (settings.refit_growth - 1.0)))
         if runs_done - last_fit < gap or len(own_targets) < 5:
             return
         last_fit = runs_done
@@ -188,8 +188,6 @@ def configure(
                 column_kinds,
                 settings.forest,
                 seed=fit_seed,
-                feature_dim=feature_dim,
-                space=space,
             )
         candidates = list(pool)
         sample = rng.sample(order, min(len(order), settings.score_instance_sample))
@@ -218,7 +216,7 @@ def configure(
 
     # measure the starting incumbent on a few instances before any racing;
     # otherwise an early challenger can displace it off one or two results
-    floor = min(len(order), max(1, settings.min_incumbent_coverage))
+    floor = min(len(order), MIN_INCUMBENT_COVERAGE)
     while len(state.scores) < floor and consumed < budget:
         intensify_incumbent()
     stalled = 0
@@ -244,14 +242,14 @@ def configure(
         rng.shuffle(race_order)
         challenger_state = _State(challenger)
         raced: list[str] = []
-        batch = max(1, min(settings.min_race_length, len(race_order)))
+        batch = max(1, min(MIN_RACE_LENGTH, len(race_order)))
         eliminated = False
         aborted = False
         while len(raced) < len(race_order):
             chunk = race_order[len(raced) : len(raced) + batch]
             for ins_id in chunk:
                 inc_time = state.runtimes[ins_id]
-                cap = min(cutoff, max(MIN_CAP, settings.cap_slack * inc_time))
+                cap = min(cutoff, max(MIN_CAP, CAP_SLACK * inc_time))
                 record = do_run(challenger, by_id[ins_id], cap)
                 challenger_state.scores[ins_id] = score_of(record)
                 challenger_state.runtimes[ins_id] = record.runtime

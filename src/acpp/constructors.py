@@ -67,6 +67,7 @@ from .transfer import TransferReport, transfer_instances
 logger = logging.getLogger(__name__)
 
 ALL_METHODS = ("pcit", "pcrs", "global", "clustering", "parhydra")
+KMEANS_MAX_ITER = 300
 
 
 @dataclass(frozen=True)
@@ -112,8 +113,8 @@ def plan_budget(
     method = method.lower()
     if method not in ALL_METHODS:
         raise ValueError(f"unknown method {method!r}")
-    if k < 1 or r < 1 or t_c <= 0 or t_v < 0:
-        raise ValueError("k, r must be >= 1 and budgets positive")
+    if k < 1 or r < 1 or not 0 < t_c < math.inf or not 0 <= t_v < math.inf:
+        raise ValueError("k, r must be >= 1 and budgets finite, t_c positive")
     if method in ("pcit", "pcrs", "clustering"):
         n = n if method == "pcit" else 1
         if n < 1:
@@ -210,11 +211,18 @@ class ConstructionResult:
         return self.groupings[self.selected_index]
 
 
+def _check_cores(cores: int | None) -> int:
+    """``cores``, or the CPU count when it is None."""
+    if cores is not None and cores < 1:
+        raise ValueError("cores must be >= 1")
+    return cores or os.cpu_count() or 1
+
+
 def _map_calls(
     fn: Callable[[int], object],
     n: int,
     backend: Backend,
-    cores: int | None,
+    cores: int,
     *,
     keep_errors: bool = False,
 ) -> list:
@@ -222,12 +230,11 @@ def _map_calls(
 
     Threads can only overlap solver runs that happen in child processes
     (``ExternalBackend``), so only then do the calls go to a pool of up to
-    ``cores`` threads (default: the CPU count). An in-process backend runs
-    Python under the interpreter lock, where threads just contend; there
-    the calls run in order on the calling thread. With ``keep_errors`` an
-    exception raised by a call takes its place in the result list, for the
-    caller to exclude, unless it is one of ``PROGRAMMING_ERRORS``, which
-    propagate.
+    ``cores`` threads. An in-process backend runs Python under the
+    interpreter lock, where threads just contend; there the calls run in
+    order on the calling thread. With ``keep_errors`` an exception raised by
+    a call takes its place in the result list, for the caller to exclude,
+    unless it is one of ``PROGRAMMING_ERRORS``, which propagate.
     """
 
     def call(i: int):
@@ -240,7 +247,7 @@ def _map_calls(
         except Exception as exc:  # excluded from validation later
             return exc
 
-    workers = min(n, cores or os.cpu_count() or 1)
+    workers = min(n, cores)
     if workers <= 1 or not isinstance(backend, ExternalBackend):
         return [call(i) for i in range(n)]
     with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -287,7 +294,7 @@ def construct_grouped(
     train_by_id = {ins.id: ins for ins in scenario.train_instances}
     features = scenario.train_features()
     rep_seeds = [derive_seed(seed, "rep", rep) for rep in range(plan.r)]
-    cores = cores or os.cpu_count() or 1
+    cores = _check_cores(cores)
     # concurrent repetitions share the cores, so at most ``cores`` subset
     # configuration calls (and so solver runs) are in flight at once
     subset_cores = max(1, cores // min(plan.r, cores))
@@ -445,12 +452,12 @@ def normalize_features(X: np.ndarray, mode: str) -> np.ndarray:
 
 
 def kmeans(
-    X: np.ndarray, k: int, seed: int, max_iter: int = 300
+    X: np.ndarray, k: int, seed: int
 ) -> tuple[np.ndarray, np.ndarray, tuple[float, ...]]:
-    """Plain k-means with seeded k-means++ init, single run, <= max_iter
-    iterations. An emptied cluster is re-seeded at the instance farthest
-    from its assigned center. Returns (labels, centers, inertia per
-    iteration)."""
+    """Plain k-means with seeded k-means++ init, single run, at most
+    ``KMEANS_MAX_ITER`` iterations. An emptied cluster is re-seeded at the
+    instance farthest from its assigned center. Returns (labels, centers,
+    inertia per iteration)."""
     X = np.asarray(X, dtype=float)
     n = len(X)
     if k < 1 or n < k:
@@ -470,7 +477,7 @@ def kmeans(
 
     labels = np.full(n, -1)
     inertias: list[float] = []
-    for _ in range(max_iter):
+    for _ in range(KMEANS_MAX_ITER):
         d2 = ((X[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         new_labels = d2.argmin(axis=1)
         for j in range(k):
@@ -543,10 +550,10 @@ class PortfolioEvaluator:
         block_size: int,
         backend: Backend,
         store: RunDataStore,
+        scenario_cutoff: float,
         ledger: BudgetLedger | None = None,
         prefix: tuple[Configuration, ...] = (),
         prefix_cache: dict[str, tuple[RunStatus, float]] | None = None,
-        scenario_cutoff: float | None = None,
     ):
         self.base_space = base_space
         self.block_size = block_size
@@ -631,6 +638,7 @@ def construct_parhydra(
     """
     if plan.method not in ("global", "parhydra"):
         raise ValueError(f"plan is for method {plan.method!r}")
+    cores = _check_cores(cores)
     ledger = BudgetLedger()
     events: list[dict] = []
     b = plan.b
@@ -650,10 +658,10 @@ def construct_parhydra(
                 b,
                 backend,
                 store,
+                scenario.cutoff,
                 ledger,
                 prefix=prefix,
                 prefix_cache=dict(prefix_cache),
-                scenario_cutoff=scenario.cutoff,
             )
             winner = configure(
                 block_space,

@@ -32,10 +32,6 @@ class RunStatus(Enum):
     TIMEOUT = "TIMEOUT"
     CRASHED = "CRASHED"
 
-    @property
-    def solved(self) -> bool:
-        return self is RunStatus.SOLVED
-
 
 class Metric(Enum):
     """Penalized-average-runtime metric; the value is the timeout penalty factor."""
@@ -165,8 +161,8 @@ class Scenario:
     def __post_init__(self) -> None:
         if self.k < 1:
             raise ValueError("portfolio size k must be >= 1")
-        if self.cutoff <= 0:
-            raise ValueError("cutoff must be positive")
+        if not 0 < self.cutoff < math.inf or not 0 < self.effective_test_cutoff < math.inf:
+            raise ValueError("cutoffs must be positive and finite")
         ids: set[str] = set()
         for ins in self.train_instances + self.test_instances:
             if ins.id in ids:

@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import Instance, Portfolio, RunStatus, derive_seed, par_score, penalized_score
-from .runner import Backend, BudgetLedger, evaluate_portfolio
+from .runner import Backend, evaluate_portfolio
 
 
 @dataclass(frozen=True)
@@ -74,7 +74,6 @@ def test_portfolio(
     repetitions: int = 3,
     seed: int = 0,
     *,
-    ledger: BudgetLedger | None = None,
     label: str = "portfolio",
 ) -> TestReport:
     """Run the portfolio ``repetitions`` times per instance and report the
@@ -89,8 +88,7 @@ def test_portfolio(
     for instance in test_instances:
         outcomes = [
             evaluate_portfolio(
-                backend, components, instance, cutoff, derive_seed(seed, instance.id, rep),
-                ledger=ledger,
+                backend, components, instance, cutoff, derive_seed(seed, instance.id, rep)
             )
             for rep in range(repetitions)
         ]

@@ -2,7 +2,7 @@
 pairs.
 
 Rows are ``encode_config`` vectors (normalized parameters, categorical
-choice codes, sentinel for inactive, instance features appended); targets
+choice codes, sentinel for inactive) with instance features appended; targets
 are log10 of the penalty-capped score, since runtime distributions are
 heavy-tailed. Categorical columns split on value subsets when few distinct
 values are present and on a by-target-mean ordering otherwise.
@@ -26,20 +26,14 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .core import penalized_score
 from .rundata import RunDataStore
-from .space import (
-    SENTINEL,
-    Configuration,
-    ParameterSpace,
-    encode_config,
-    encoding_kinds,
-)
+from .space import SENTINEL, ParameterSpace, encode_config, encoding_kinds
 
 LOG_FLOOR = 1e-3  # scores are clamped here before the log transform
 
@@ -256,8 +250,6 @@ class PerformanceModel:
 
     trees: list[_Tree]
     column_kinds: tuple[str, ...]
-    feature_dim: int
-    space: ParameterSpace = field(repr=False)
 
     @functools.cached_property
     def _forest(self) -> _Forest:
@@ -274,11 +266,6 @@ class PerformanceModel:
         for per_tree in self._forest.predict(X):
             acc += per_tree
         return acc / len(self.trees)
-
-    def predict_cost(self, config: Configuration, features: Sequence[float]) -> float:
-        """Predicted penalized seconds for one (configuration, instance) pair."""
-        row = encode_config(self.space, config, features, feature_dim=self.feature_dim)
-        return float(10.0 ** self.predict_transformed(row[None, :])[0])
 
 
 def fit_model(
@@ -307,7 +294,7 @@ def fit_model(
     for i, rec in enumerate(records):
         enc = enc_cache.get(rec.config_id)
         if enc is None:
-            enc = encode_config(space, configs[rec.config_id], features=())
+            enc = encode_config(space, configs[rec.config_id])
             enc_cache[rec.config_id] = enc
         rows[i, : len(enc)] = enc
         rows[i, len(enc) :] = np.asarray(features[rec.instance_id], dtype=float)
@@ -316,7 +303,7 @@ def fit_model(
         score = penalized_score(rec.status, rec.runtime, rec.cutoff, penalty)
         y[i] = math.log10(max(min(score, penalty * cutoff), LOG_FLOOR))
     column_kinds = encoding_kinds(space) + ("num",) * feature_dim
-    return fit_forest(rows, y, column_kinds, params, seed, feature_dim, space)
+    return fit_forest(rows, y, column_kinds, params, seed)
 
 
 def fit_forest(
@@ -325,8 +312,6 @@ def fit_forest(
     column_kinds: tuple[str, ...],
     params: ForestParams,
     seed: int,
-    feature_dim: int,
-    space: ParameterSpace,
 ) -> PerformanceModel:
     if not np.isfinite(X).all():
         raise ValueError("training rows must be finite")
@@ -344,12 +329,7 @@ def fit_forest(
         else:
             idx = np.arange(len(y))
         trees.append(_grow_tree(X, y, idx, cat_cols, params, rng))
-    return PerformanceModel(
-        trees=trees,
-        column_kinds=tuple(column_kinds),
-        feature_dim=feature_dim,
-        space=space,
-    )
+    return PerformanceModel(trees=trees, column_kinds=tuple(column_kinds))
 
 
 def _grow_tree(

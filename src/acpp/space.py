@@ -135,7 +135,6 @@ class Condition:
 class ParameterSpace:
     parameters: tuple[Parameter, ...]
     conditions: tuple[Condition, ...] = ()
-    selector: str | None = None
 
     def __post_init__(self) -> None:
         names = [p.name for p in self.parameters]
@@ -162,12 +161,6 @@ class ParameterSpace:
                     )
             conds.setdefault(cond.child, []).append(cond)
         order = self._toposort(names, conds)
-        if self.selector is not None:
-            sel = by_name.get(self.selector)
-            if sel is None:
-                raise ValueError(f"selector {self.selector!r} is not a parameter")
-            if sel.kind != CATEGORICAL or self.selector in conds:
-                raise ValueError("selector must be an unconditional categorical parameter")
         object.__setattr__(self, "_by_name", by_name)
         object.__setattr__(self, "_conditions_of", {c: tuple(v) for c, v in conds.items()})
         object.__setattr__(self, "_topo_order", order)
@@ -433,27 +426,15 @@ def encoding_kinds(space: ParameterSpace) -> tuple[str, ...]:
     return tuple("cat" if p.kind == CATEGORICAL else "num" for p in space.parameters)
 
 
-def encode_config(
-    space: ParameterSpace,
-    config: Configuration,
-    features: Sequence[float] = (),
-    feature_dim: int | None = None,
-) -> np.ndarray:
-    """Fixed-length numeric encoding of a configuration plus instance features.
+def encode_config(space: ParameterSpace, config: Configuration) -> np.ndarray:
+    """Fixed-length numeric encoding of a configuration.
 
     Numeric parameters are normalized to [0, 1] by their domain (log domains
     in log space); categoricals become their choice index; inactive
-    parameters take the sentinel value. Features are appended unchanged.
+    parameters take the sentinel value.
     """
-    if feature_dim is not None and len(features) != feature_dim:
-        raise ValueError(
-            f"feature vector has length {len(features)}, expected {feature_dim}"
-        )
     plan = space.sampling_plan
-    encoded = plan.encode([plan.values_of(config)])[0]
-    if not len(features):
-        return encoded
-    return np.concatenate([encoded, np.asarray(features, dtype=float)])
+    return plan.encode([plan.values_of(config)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -484,7 +465,7 @@ def _parse_domain(kind: str, text: str, line_no: int) -> tuple[Any, Any, tuple[s
     return lower, upper, ()
 
 
-def parse_space(text: str, selector: str | None = None) -> ParameterSpace:
+def parse_space(text: str) -> ParameterSpace:
     """Parse a space definition document; raises SpaceParseError with line numbers."""
     parameters: list[Parameter] = []
     conditions: list[Condition] = []
@@ -537,7 +518,7 @@ def parse_space(text: str, selector: str | None = None) -> ParameterSpace:
         except ValueError as exc:
             raise SpaceParseError(str(exc), line_no) from exc
     try:
-        return ParameterSpace(tuple(parameters), tuple(conditions), selector=selector)
+        return ParameterSpace(tuple(parameters), tuple(conditions))
     except ValueError as exc:
         raise SpaceParseError(str(exc)) from exc
 
@@ -605,7 +586,7 @@ def compose_selector_space(
         # gate every unconditional sub-parameter on the selector value
         for name in sub.unconditional_names():
             conditions.append(Condition(prefix + name, selector_name, (label,)))
-    return ParameterSpace(tuple(params), tuple(conditions), selector=selector_name)
+    return ParameterSpace(tuple(params), tuple(conditions))
 
 
 def _copy_prefix(index: int) -> str:

@@ -162,7 +162,6 @@ def generate_synthetic_scenario(
     k: int | None = None,
     seed: int = 0,
     *,
-    n_test: int | None = None,
     feature_dim: int = 2,
     cutoff: float = 30.0,
     noise: float = 0.03,
@@ -182,7 +181,6 @@ def generate_synthetic_scenario(
     if feature_dim < 2:
         raise ValueError("feature_dim must be >= 2")
     k = n_families if k is None else k
-    n_test = n_train if n_test is None else n_test
     rng = np.random.default_rng(seed)
     values = tuple(f"s{i:02d}" for i in range(n_configs))
 
@@ -228,7 +226,7 @@ def generate_synthetic_scenario(
         return instances
 
     train = make_instances("train", n_train)
-    test = make_instances("test", n_test)
+    test = make_instances("test", n_train)
     instance_family = {ins.id: i % n_families for i, ins in enumerate(train)}
     instance_family.update({ins.id: i % n_families for i, ins in enumerate(test)})
     hardness = {

@@ -109,7 +109,7 @@ def transfer_instances(
         store, space, features, cutoff, penalty,
         params=forest or ForestParams(), seed=seed,
     )
-    incumbent_rows = [encode_config(space, inc, features=()) for inc in incumbents]
+    incumbent_rows = [encode_config(space, inc) for inc in incumbents]
 
     # predictions depend only on (incumbent, instance), both fixed for the
     # whole call, so one batch covers every examination and re-examination
@@ -123,9 +123,6 @@ def transfer_instances(
     )
     table = model.predict_transformed(rows).reshape(len(candidate_list), len(incumbents))
     prediction_of = {ins: table[i] for i, ins in enumerate(candidate_list)}
-
-    def predictions_for(instance_id: str) -> np.ndarray:
-        return prediction_of[instance_id]
 
     subsets = [list(s) for s in grouping.subsets]
     membership = {ins: j for j, subset in enumerate(subsets) for ins in subset}
@@ -144,7 +141,7 @@ def transfer_instances(
         unmoved: set[str] = set()
         for instance_id in examine:
             source = membership[instance_id]
-            predicted = predictions_for(instance_id)
+            predicted = prediction_of[instance_id]
             ranking = sorted(range(len(incumbents)), key=lambda j: (predicted[j], j))
             for target in ranking:
                 if (

@@ -40,7 +40,7 @@ from acpp.evaluation import format_table, permutation_test
 from acpp.evaluation import test_portfolio as run_test_protocol
 from acpp.perfmodel import ForestParams, fit_model
 from acpp.rundata import RunDataStore
-from acpp.space import enumerate_configs, make_config
+from acpp.space import encode_config, enumerate_configs, make_config
 from acpp.synthetic import generate_synthetic_scenario
 from acpp.transfer import transfer_instances
 from tests.test_transfer import random_transfer_inputs
@@ -272,7 +272,11 @@ def test_criterion_5_model_quality():
             store, scenario.space, scenario.train_features(),
             cutoff=scenario.cutoff, penalty=10, seed=3,
         )
-        predicted = [model.predict_cost(c, ins.features) for c, ins in held_out]
+        # ranked in log10 space: the transform is monotone, so rho is the same
+        rows = np.vstack(
+            [np.concatenate([encode_config(scenario.space, c), ins.features]) for c, ins in held_out]
+        )
+        predicted = model.predict_transformed(rows)
         truth = [spec.true_cost(c, ins.id, 10) for c, ins in held_out]
         rho = stats.spearmanr(predicted, truth).statistic
         assert rho >= 0.8, f"Spearman correlation {rho:.3f} < 0.8"

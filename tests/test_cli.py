@@ -1,3 +1,4 @@
+import argparse
 import json
 from pathlib import Path
 
@@ -17,10 +18,13 @@ class TestParseDuration:
         assert parse_duration(text) == expected
 
     def test_bad_input(self):
-        import argparse
-
         with pytest.raises(argparse.ArgumentTypeError):
             parse_duration("soon")
+
+    @pytest.mark.parametrize("text", ["nan", "inf", "1e400", "infh", "1e305h"])
+    def test_non_finite_rejected(self, text):
+        with pytest.raises(argparse.ArgumentTypeError, match="finite"):
+            parse_duration(text)
 
 
 class TestPlanCommand:
@@ -147,3 +151,43 @@ class TestPipeline:
         with pytest.raises(SystemExit) as err:
             run_command(["construct", "--method", "sorcery", "--scenario", "x"])
         assert err.value.code == 2
+
+    def test_non_finite_budget_flag_exits_two(self, scenario_dir, tmp_path):
+        with pytest.raises(SystemExit) as err:
+            run_command(
+                ["construct", "--method", "pcrs", "--scenario", str(scenario_dir / "scenario.json"),
+                 "--tc", "nan", "--out-dir", str(tmp_path)]
+            )
+        assert err.value.code == 2
+        assert not (tmp_path / "portfolio.json").exists()
+
+    @pytest.mark.parametrize("cores", ["0", "-1"])
+    def test_cores_must_be_positive(self, scenario_dir, tmp_path, cores):
+        with pytest.raises(SystemExit) as err:
+            run_command(
+                ["construct", "--method", "pcrs", "--scenario", str(scenario_dir / "scenario.json"),
+                 "--cores", cores, "--out-dir", str(tmp_path)]
+            )
+        assert err.value.code == 2
+        assert not (tmp_path / "portfolio.json").exists()
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [("train_cutoff", float("nan")), ("train_cutoff", float("inf")),
+         ("test_cutoff", float("nan")), ("defaults", {"t_c": float("nan")}),
+         ("defaults", {"t_v": float("inf")})],
+    )
+    def test_non_finite_scenario_value_exits_one(self, scenario_dir, tmp_path, key, value):
+        for path in scenario_dir.iterdir():
+            (tmp_path / path.name).write_bytes(path.read_bytes())
+        doc = json.loads((tmp_path / "scenario.json").read_text())
+        doc[key] = value
+        # json writes these as the non-standard NaN and Infinity tokens,
+        # which json.loads reads back
+        (tmp_path / "scenario.json").write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert run_command(
+            ["construct", "--method", "pcrs", "--scenario", str(tmp_path / "scenario.json"),
+             "--out-dir", str(out)]
+        ) == 1
+        assert not out.exists()

@@ -25,9 +25,10 @@ from acpp.constructors import (
     plan_budget,
     validate_and_select,
 )
-from acpp.core import Metric, RunStatus, clamp_run, penalized_score
+from acpp.core import Instance, Metric, RunStatus, clamp_run, penalized_score
 from acpp.perfmodel import ForestParams
 from acpp.rundata import RunDataStore
+from acpp.runner import BudgetLedger
 from acpp.synthetic import SyntheticBackend, generate_synthetic_scenario
 from tests.test_configurator import backend_runs
 
@@ -84,6 +85,14 @@ class TestPlanBudget:
     def test_unknown_method(self):
         with pytest.raises(ValueError):
             plan_budget("magic", 8, 1.0, 1.0, 1)
+
+    @pytest.mark.parametrize("method", ["pcit", "parhydra"])
+    @pytest.mark.parametrize(
+        "t_c,t_v", [(math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan), (1.0, math.inf)]
+    )
+    def test_non_finite_budgets_rejected(self, method, t_c, t_v):
+        with pytest.raises(ValueError, match="finite"):
+            plan_budget(method, 2, t_c, t_v, 1)
 
 
 class TestValidation:
@@ -387,6 +396,14 @@ class TestScheduleIndependence:
         construct_pcrs(syn.scenario, plan, 5, backend, settings=FAST, cores=cores)
         assert 2 <= peak[0] <= cores
 
+    @pytest.mark.parametrize("method", ALL_METHODS)
+    @pytest.mark.parametrize("cores", [0, -1])
+    def test_cores_below_one_rejected(self, method, cores):
+        syn = tiny_synthetic(seed=18, families=2, configs=6, train=16, k=2)
+        plan = plan_budget(method, 2, 300.0, 100.0, 1, n=2)
+        with pytest.raises(ValueError, match="cores"):
+            CONSTRUCTORS[method](syn.scenario, plan, 5, syn.backend(), settings=FAST, cores=cores)
+
     def test_in_process_backend_runs_calls_in_order_on_calling_thread(self):
         calls = []
 
@@ -484,6 +501,12 @@ class TestGlobalAndParhydra:
         record, cost = evaluator.run(product, Instance("i1"), 20.0, 0)
         assert (record.status, record.runtime, cost) == (RunStatus.TIMEOUT, 20.0, 20.0)
 
+    def test_product_evaluator_requires_scenario_cutoff(self):
+        from acpp.space import parse_space
+
+        with pytest.raises(TypeError, match="scenario_cutoff"):
+            PortfolioEvaluator(parse_space("s categorical {a} [a]\n"), 1, None, RunDataStore())
+
     def test_parhydra_b_must_divide(self):
         syn = tiny_synthetic(seed=15)
         with pytest.raises(ValueError):
@@ -542,3 +565,93 @@ class TestGlobalAndParhydra:
         result = construct_parhydra(scenario, plan, 3, SyntheticBackend(spec), settings=FAST)
         values = {c["strategy"] for c in result.portfolio.components}
         assert values == {"only1", "only2"}
+
+
+class RecordingBackend:
+    """Solves each strategy in a fixed time and records every call."""
+
+    label = "recording"
+    TIMES = {"slow": 25.0, "mid": 4.0, "fast": 3.0}
+
+    def __init__(self):
+        self.calls = []
+
+    def run(self, config, instance, cutoff, seed):
+        self.calls.append((config["s"], instance.id, cutoff))
+        return RunStatus.SOLVED, self.TIMES[config["s"]]
+
+
+class TestPortfolioEvaluatorPrefix:
+    """A fixed prefix of components extended by a configured block, at a
+    scenario cutoff of 30 and a cap of 5."""
+
+    def evaluator(self, prefix, block, prefix_cache=None):
+        from acpp.space import compose_product_space, make_config, make_product_config, parse_space
+
+        space = parse_space("s categorical {slow, mid, fast} [fast]\n")
+        backend = RecordingBackend()
+        ledger = BudgetLedger()
+        evaluator = PortfolioEvaluator(
+            space, len(block), backend, RunDataStore(), scenario_cutoff=30.0, ledger=ledger,
+            prefix=tuple(make_config(space, {"s": name}) for name in prefix),
+            prefix_cache=prefix_cache,
+        )
+        point = make_product_config(
+            compose_product_space(space, len(block)),
+            [make_config(space, {"s": name}) for name in block],
+        )
+        return evaluator, point, backend, ledger
+
+    def test_fresh_prefix_runs_once_at_scenario_cutoff_and_is_cached(self):
+        evaluator, point, backend, _ = self.evaluator(["slow", "mid"], ["fast"])
+        evaluator.run(point, Instance("i1"), 5.0, 0)
+        assert backend.calls == [("slow", "i1", 30.0), ("mid", "i1", 30.0), ("fast", "i1", 5.0)]
+        # the prefix portfolio's outcome: its first solver, at the full cutoff
+        assert evaluator.prefix_cache == {"i1": (RunStatus.SOLVED, 4.0)}
+        backend.calls.clear()
+        evaluator.run(point, Instance("i1"), 5.0, 1)
+        assert backend.calls == [("fast", "i1", 5.0)]
+
+    def test_cache_hit_charged_prefix_width_times_capped_prefix_time(self):
+        cache = {"i1": (RunStatus.SOLVED, 25.0), "i2": (RunStatus.SOLVED, 4.0)}
+        evaluator, point, backend, ledger = self.evaluator(["slow", "mid"], ["fast"], cache)
+        record, cost = evaluator.run(point, Instance("i1"), 5.0, 0)
+        assert backend.calls == [("fast", "i1", 5.0)]
+        assert (record.status, record.runtime) == (RunStatus.SOLVED, 3.0)
+        assert ledger.configuration_time == 2 * 5.0 + 3.0
+        assert cost == (2 * 5.0 + 3.0) / 3
+        record, cost = evaluator.run(point, Instance("i2"), 5.0, 0)
+        assert ledger.configuration_time == 13.0 + 2 * 4.0 + 3.0
+        assert cost == (2 * 4.0 + 3.0) / 3
+
+    def test_prefix_solving_after_cap_is_timeout_at_cap(self):
+        evaluator, point, _, _ = self.evaluator(["slow"], ["slow"])
+        record, _ = evaluator.run(point, Instance("i1"), 5.0, 0)
+        assert (record.status, record.runtime, record.cutoff) == (RunStatus.TIMEOUT, 5.0, 5.0)
+        # below the cap the cached prefix solves at its own time
+        evaluator, point, _, _ = self.evaluator(["mid"], ["slow"])
+        record, _ = evaluator.run(point, Instance("i1"), 5.0, 0)
+        assert (record.status, record.runtime) == (RunStatus.SOLVED, 4.0)
+
+    def test_fresh_and_cached_prefix_charges(self):
+        # a fresh prefix is charged its full runtime at the scenario cutoff,
+        # a cached one at most the cap: the two differ when the prefix
+        # outlasts the cap, with the same outcome
+        evaluator, point, _, ledger = self.evaluator(["slow"], ["fast"])
+        fresh, fresh_cost = evaluator.run(point, Instance("i1"), 5.0, 0)
+        assert (ledger.configuration_time, fresh_cost) == (28.0, 14.0)
+        cached, cached_cost = evaluator.run(point, Instance("i1"), 5.0, 0)
+        assert (ledger.configuration_time - 28.0, cached_cost) == (8.0, 4.0)
+        assert (fresh.status, fresh.runtime) == (cached.status, cached.runtime) == (RunStatus.SOLVED, 3.0)
+
+    def test_one_ledger_charge_and_one_record_per_evaluation(self):
+        evaluator, point, _, ledger = self.evaluator(["mid"], ["fast", "slow"])
+        for i in range(3):
+            _, cost = evaluator.run(point, Instance(f"i{i}"), 5.0, i)
+            # mid 4 + fast 3 + slow capped at 5, over a width of 3
+            assert cost == (4.0 + 3.0 + 5.0) / 3
+        assert ledger.n_runs == 3
+        assert ledger.configuration_time == 3 * 12.0
+        records = list(evaluator.store.records())
+        assert [r.instance_id for r in records] == ["i0", "i1", "i2"]
+        assert all(r.backend_label == "recording:portfolio" for r in records)

@@ -11,6 +11,7 @@ from acpp.core import (
     InstanceResult,
     RunRecord,
     RunStatus,
+    Scenario,
     clamp_run,
     par_score,
     penalized_score,
@@ -18,6 +19,7 @@ from acpp.core import (
     split_random_even,
     subset_bounds,
 )
+from acpp.space import parse_space
 
 
 def result(status, runtime, cutoff=60.0):
@@ -219,3 +221,30 @@ class TestRecords:
     def test_grouping_rejects_duplicates(self):
         with pytest.raises(ValueError):
             InstanceGrouping((("a", "b"), ("b",)), 1, 2)
+
+
+class TestScenarioCutoffs:
+    def scenario(self, cutoff=60.0, test_cutoff=None):
+        return Scenario(
+            name="s",
+            space=parse_space("s categorical {a, b} [a]\n"),
+            train_instances=(Instance("i0"),),
+            test_instances=(Instance("t0"),),
+            cutoff=cutoff,
+            k=1,
+            test_cutoff=test_cutoff,
+        )
+
+    @pytest.mark.parametrize("cutoff", [math.nan, math.inf, 0.0, -1.0])
+    def test_cutoff_must_be_positive_and_finite(self, cutoff):
+        with pytest.raises(ValueError, match="positive and finite"):
+            self.scenario(cutoff=cutoff)
+
+    @pytest.mark.parametrize("test_cutoff", [math.nan, math.inf, 0.0, -1.0])
+    def test_test_cutoff_must_be_positive_and_finite(self, test_cutoff):
+        with pytest.raises(ValueError, match="positive and finite"):
+            self.scenario(test_cutoff=test_cutoff)
+
+    def test_test_cutoff_defaults_to_cutoff(self):
+        assert self.scenario().effective_test_cutoff == 60.0
+        assert self.scenario(test_cutoff=120.0).effective_test_cutoff == 120.0

@@ -17,7 +17,7 @@ from acpp.perfmodel import (
     fit_model,
 )
 from acpp.rundata import RunDataStore
-from acpp.space import SENTINEL, make_config, parse_space
+from acpp.space import SENTINEL, encode_config, make_config, parse_space
 
 
 @pytest.fixture
@@ -32,6 +32,11 @@ def add_run(store, config, instance_id, runtime, cutoff=60.0, seed=0, status=Run
     )
 
 
+def predict_cost(model, space, config, features):
+    row = np.concatenate([encode_config(space, config), np.asarray(features, dtype=float)])
+    return float(10.0 ** model.predict_transformed(row[None, :])[0])
+
+
 class TestFitBasics:
     def test_constant_target_predicts_constant(self, space):
         store = RunDataStore()
@@ -42,7 +47,7 @@ class TestFitBasics:
             add_run(store, config, f"i{i}", 7.0, seed=i)
         model = fit_model(store, space, features, cutoff=60.0, penalty=10, seed=1)
         for i in range(10):
-            assert model.predict_cost(config, features[f"i{i}"]) == pytest.approx(7.0)
+            assert predict_cost(model, space, config, features[f"i{i}"]) == pytest.approx(7.0)
 
     def test_single_record_predicts_everywhere(self, space):
         store = RunDataStore()
@@ -51,7 +56,7 @@ class TestFitBasics:
         add_run(store, config, "i0", 12.5)
         model = fit_model(store, space, features, cutoff=60.0, penalty=10, seed=3)
         other = make_config(space, {"s": "d"})
-        assert model.predict_cost(other, (9.0, 9.0)) == pytest.approx(12.5)
+        assert predict_cost(model, space, other, (9.0, 9.0)) == pytest.approx(12.5)
 
     def test_empty_store_errors(self, space):
         with pytest.raises(ValueError, match="no training data"):
@@ -69,8 +74,8 @@ class TestFitBasics:
             add_run(store, config, f"i{i}", 1.0 if fam == 0 else 100.0, cutoff=300.0, seed=i)
         hold_out = {"h0": (0.1, 0.0), "h1": (10.1, 0.0)}
         model = fit_model(store, space, features, cutoff=300.0, penalty=10, seed=5)
-        fast = model.predict_cost(config, hold_out["h0"])
-        slow = model.predict_cost(config, hold_out["h1"])
+        fast = predict_cost(model, space, config, hold_out["h0"])
+        slow = predict_cost(model, space, config, hold_out["h1"])
         # log-space distance to own family mean is smaller than to the other
         assert abs(math.log10(fast) - 0.0) < abs(math.log10(fast) - 2.0)
         assert abs(math.log10(slow) - 2.0) < abs(math.log10(slow) - 0.0)
@@ -132,7 +137,7 @@ class TestModelProperties:
         add_run(store, config, "unfeatured", 50.0)
         features = {"featured": (0.0,)}
         model = fit_model(store, space, features, 60.0, 10, seed=0)
-        assert model.predict_cost(config, (0.0,)) == pytest.approx(5.0)
+        assert predict_cost(model, space, config, (0.0,)) == pytest.approx(5.0)
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +413,7 @@ class TestForestExactness:
         X, y, column_kinds = random_forest_data(10 * min_leaf + data_seed)
         params = ForestParams(n_trees=3, min_leaf=min_leaf, bootstrap=bootstrap)
         seed = 7 * data_seed + min_leaf
-        model = fit_forest(X, y, column_kinds, params, seed, feature_dim=0, space=None)
+        model = fit_forest(X, y, column_kinds, params, seed)
         reference = reference_forest(X, y, column_kinds, params, seed)
         for tree, ref in zip(model.trees, reference, strict=True):
             assert np.array_equal(tree.feature, ref.feature)
@@ -428,7 +433,7 @@ class TestForestExactness:
     def test_constant_target_gives_single_leaf(self, min_leaf):
         X, y, column_kinds = random_forest_data(5, constant_target=True)
         params = ForestParams(n_trees=2, min_leaf=min_leaf)
-        model = fit_forest(X, y, column_kinds, params, 3, feature_dim=0, space=None)
+        model = fit_forest(X, y, column_kinds, params, 3)
         for tree, ref in zip(model.trees, reference_forest(X, y, column_kinds, params, 3)):
             assert np.array_equal(tree.feature, ref.feature) and len(tree.feature) == 1
             assert np.array_equal(tree.value, ref.value)
@@ -509,7 +514,7 @@ class TestForestExactness:
             X, y, column_kinds = random_forest_data(data_seed, n_rows=n_rows)
             params = ForestParams(n_trees=3, min_leaf=min_leaf, bootstrap=bootstrap)
             seed = n_rows + data_seed
-            model = fit_forest(X, y, column_kinds, params, seed, feature_dim=0, space=None)
+            model = fit_forest(X, y, column_kinds, params, seed)
             reference = reference_forest(X, y, column_kinds, params, seed)
             Q = query_rows(X, column_kinds, seed)
             for tree, ref in zip(model.trees, reference, strict=True):
@@ -541,7 +546,7 @@ class TestForestExactness:
         column_kinds = tuple("cat" if j % 7 == 0 else "num" for j in range(n_cols))
         y = rng.normal(size=n_rows)
         params = ForestParams(n_trees=2, min_leaf=2)
-        model = fit_forest(X, y, column_kinds, params, n_cols, feature_dim=0, space=None)
+        model = fit_forest(X, y, column_kinds, params, n_cols)
         reference = reference_forest(X, y, column_kinds, params, n_cols)
         Q = query_rows(X, column_kinds, n_cols)
         for tree, ref in zip(model.trees, reference, strict=True):
@@ -564,12 +569,12 @@ class TestForestExactness:
         X, y, column_kinds = random_forest_data(3)
         X[len(X) // 2, column_kinds.index("num")] = bad
         with pytest.raises(ValueError, match="finite"):
-            fit_forest(X, y, column_kinds, ForestParams(), 0, 0, None)
+            fit_forest(X, y, column_kinds, ForestParams(), 0)
 
     def test_non_code_categorical_values_rejected(self):
         X = np.array([[0.5, 1.0], [1.0, 2.0]])
         with pytest.raises(ValueError, match="choice codes"):
-            fit_forest(X, np.array([1.0, 2.0]), ("cat", "num"), ForestParams(), 0, 0, None)
+            fit_forest(X, np.array([1.0, 2.0]), ("cat", "num"), ForestParams(), 0)
 
 
 # PCG64's multiplier: a step is state * MULTIPLIER + inc modulo 2**128, and

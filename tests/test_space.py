@@ -105,7 +105,6 @@ class TestSelectorComposition:
     def test_only_selector_is_unconditional(self):
         space = self._multi()
         assert space.unconditional_names() == ("solver",)
-        assert space.selector == "solver"
 
     def test_activation_follows_selector(self):
         space = self._multi()
@@ -377,16 +376,6 @@ class TestEncoding:
         enc_a = encode_config(simple_space, a)
         enc_b = encode_config(simple_space, b)
         assert enc_a[0] == SENTINEL == enc_b[0]
-
-    def test_features_appended_unchanged(self, simple_space):
-        config = default_config(simple_space)
-        enc = encode_config(simple_space, config, features=(1.5, -2.0))
-        assert enc[-2:].tolist() == [1.5, -2.0]
-
-    def test_feature_dim_mismatch(self, simple_space):
-        config = default_config(simple_space)
-        with pytest.raises(ValueError, match="feature"):
-            encode_config(simple_space, config, features=(1.0,), feature_dim=3)
 
     def test_distinct_configs_distinct_vectors(self):
         # exhaustive check on a two-parameter space
