@@ -3,26 +3,29 @@ selection of the final portfolio.
 
 The five methods are two algorithms:
 
-* the grouped constructor (``construct_grouped``) splits the training
-  instances into k subsets and configures one component per subset. The
-  methods differ in the initial grouping and the number of phases: pcrs
-  runs one phase on a random even split, pcit runs n phases on the same
-  split with instance transfer after every phase but the last, and
-  clustering runs one phase on a k-means grouping of the instance
-  features;
-* the greedy block constructor (``construct_parhydra``) configures b
+* ``construct_grouped`` (aliased as ``construct_pcit``, ``construct_pcrs``
+  and ``construct_clustering``) splits the training instances into k
+  subsets and configures one component per subset. The plan's method picks
+  the initial grouping and the number of phases: pcrs runs one phase on a
+  random even split, pcit runs n phases on the same split with instance
+  transfer after every phase but the last, and clustering runs one phase on
+  a k-means grouping of the instance features;
+* ``construct_parhydra`` (aliased as ``construct_global``) configures b
   components at a time over a b-fold product space, each block extending
   the portfolio selected so far. Global is its b = k case: one iteration
   that configures the whole portfolio at once.
 
 Both run ``r`` independent repetitions that produce candidate portfolios
-(per iteration, for the block constructor), and the candidate with the
-best training-set validation score wins. Repetitions and the per-subset
-configuration calls inside one repetition run concurrently on threads only
-when the backend runs solvers as child processes; with an in-process
-backend they run in order on the calling thread. Results are
-schedule-independent because every configuration call owns its seeds and
-the shared stores are order-invariant.
+(per iteration, for the block constructor) through ``_repetitions``, which
+leaves out a repetition that raised anything but a programming error; the
+candidate with the best training-set validation score wins. Repetitions
+and the per-subset configuration calls inside one repetition run
+concurrently on threads only when the backend runs solvers as child
+processes; with an in-process backend they run in order on the calling
+thread. The components, validation scores and selected grouping do not
+depend on the schedule, because every configuration call owns its seeds
+and the shared stores are order-invariant; on threads, the event order and
+the last digits of the ledger's sums may.
 """
 
 from __future__ import annotations
@@ -218,56 +221,69 @@ def _check_cores(cores: int | None) -> int:
     return cores or os.cpu_count() or 1
 
 
-def _map_calls(
-    fn: Callable[[int], object],
-    n: int,
-    backend: Backend,
-    cores: int,
-    *,
-    keep_errors: bool = False,
-) -> list:
+def _map_calls(fn: Callable[[int], object], n: int, backend: Backend, cores: int) -> list:
     """``[fn(0), ..., fn(n - 1)]``.
 
     Threads can only overlap solver runs that happen in child processes
     (``ExternalBackend``), so only then do the calls go to a pool of up to
     ``cores`` threads. An in-process backend runs Python under the
     interpreter lock, where threads just contend; there the calls run in
-    order on the calling thread. With ``keep_errors`` an exception raised by
-    a call takes its place in the result list, for the caller to exclude,
-    unless it is one of ``PROGRAMMING_ERRORS``, which propagate.
+    order on the calling thread.
     """
-
-    def call(i: int):
-        if not keep_errors:
-            return fn(i)
-        try:
-            return fn(i)
-        except PROGRAMMING_ERRORS:
-            raise
-        except Exception as exc:  # excluded from validation later
-            return exc
-
     workers = min(n, cores)
     if workers <= 1 or not isinstance(backend, ExternalBackend):
-        return [call(i) for i in range(n)]
+        return [fn(i) for i in range(n)]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(call, range(n)))
+        return list(pool.map(fn, range(n)))
 
 
-def _exclude_failed(outputs: list, events: list[dict]) -> list:
-    """The outputs of the repetitions that did not raise.
+def _repetitions(
+    one_rep: Callable[[int], tuple],
+    plan: BudgetPlan,
+    scenario: Scenario,
+    backend: Backend,
+    cores: int,
+    ledger: BudgetLedger,
+    events: list[dict],
+    validation_seed: int,
+) -> tuple[list[tuple], ValidationOutcome]:
+    """The outputs of the ``plan.r`` repetitions that did not raise, and the
+    validation of their candidates, the first element of each output.
 
-    A repetition that raised is logged, recorded in ``events`` and left
-    out; if every repetition raised, the construction fails.
+    A repetition raising one of ``PROGRAMMING_ERRORS`` fails the
+    construction. Any other exception leaves the repetition out, with a
+    warning and a ``repetition_failed`` event; if every repetition raised,
+    the construction fails.
     """
-    for rep, out in enumerate(outputs):
+
+    def guarded(rep: int):
+        try:
+            return one_rep(rep)
+        except PROGRAMMING_ERRORS:
+            raise
+        except Exception as exc:  # excluded from validation below
+            return exc
+
+    outputs = []
+    for rep, out in enumerate(_map_calls(guarded, plan.r, backend, cores)):
         if isinstance(out, Exception):
             logger.warning("construction repetition %d failed and is excluded: %s", rep, out)
             events.append({"event": "repetition_failed", "repetition": rep, "error": str(out)})
-    ok = [out for out in outputs if not isinstance(out, Exception)]
-    if not ok:
+        else:
+            outputs.append(out)
+    if not outputs:
         raise RuntimeError("every construction repetition failed")
-    return ok
+    outcome = validate_and_select(
+        [out[0] for out in outputs],
+        scenario.train_instances,
+        plan.t_v,
+        scenario.cutoff,
+        scenario.metric.penalty,
+        validation_seed,
+        backend,
+        ledger,
+    )
+    return outputs, outcome
 
 
 def construct_grouped(
@@ -275,26 +291,37 @@ def construct_grouped(
     plan: BudgetPlan,
     seed: int,
     backend: Backend,
-    initial_grouping: Callable[[int], InstanceGrouping],
-    events: list[dict],
     *,
+    normalization: str = "none",
     settings: ConfiguratorSettings | None = None,
     transfer_forest: ForestParams | None = None,
     cores: int | None = None,
 ) -> ConstructionResult:
     """One component per instance subset, configured in phases.
 
-    Each repetition starts from ``initial_grouping(repetition_seed)``; every
+    The plan's method picks the initial grouping: pcit and pcrs draw a
+    fresh random even split per repetition, and clustering groups the
+    instances once by k-means on their features (scaled by
+    ``normalization``) and starts every repetition from that grouping. Every
     phase of ``plan.phase_budgets`` configures all subsets (warm-started
     from the previous phase), and the grouping is adjusted by instance
-    transfer after every phase but the last. Construction events are
-    appended to ``events``.
+    transfer after every phase but the last. A pcit plan has n phases; pcrs
+    and clustering plans have one and so perform no transfers.
     """
+    if plan.method not in ("pcit", "pcrs", "clustering"):
+        raise ValueError(f"plan is for method {plan.method!r}")
+    cores = _check_cores(cores)
+    events: list[dict] = []
+    if plan.method == "clustering":
+        clustered = _cluster(scenario, seed, normalization)
+        events.append(
+            {"event": "clustering", "normalization": normalization,
+             "cluster_sizes": list(clustered.sizes())}
+        )
     ledger = BudgetLedger()
     train_by_id = {ins.id: ins for ins in scenario.train_instances}
     features = scenario.train_features()
     rep_seeds = [derive_seed(seed, "rep", rep) for rep in range(plan.r)]
-    cores = _check_cores(cores)
     # concurrent repetitions share the cores, so at most ``cores`` subset
     # configuration calls (and so solver runs) are in flight at once
     subset_cores = max(1, cores // min(plan.r, cores))
@@ -302,7 +329,10 @@ def construct_grouped(
     def one_rep(rep: int):
         rep_seed = rep_seeds[rep]
         store = RunDataStore()
-        grouping = initial_grouping(rep_seed)
+        if plan.method == "clustering":
+            grouping = clustered
+        else:
+            grouping = split_random_even(scenario.train_instances, scenario.k, rep_seed)
         incumbents: list[Configuration | None] = [None] * scenario.k
         reports: list[TransferReport] = []
         for phase_idx, phase_budget in enumerate(plan.phase_budgets, start=1):
@@ -358,20 +388,10 @@ def construct_grouped(
                 )
         return tuple(incumbents), grouping, tuple(reports), store
 
-    outputs = _exclude_failed(
-        _map_calls(one_rep, plan.r, backend, cores, keep_errors=True), events
+    outputs, outcome = _repetitions(
+        one_rep, plan, scenario, backend, cores, ledger, events, derive_seed(seed, "validation")
     )
     candidates, groupings, reports, stores = (tuple(column) for column in zip(*outputs))
-    outcome = validate_and_select(
-        candidates,
-        scenario.train_instances,
-        plan.t_v,
-        scenario.cutoff,
-        scenario.metric.penalty,
-        derive_seed(seed, "validation"),
-        backend,
-        ledger,
-    )
     events.append(
         {
             "event": "validation",
@@ -398,35 +418,7 @@ def construct_grouped(
     )
 
 
-def construct_pcit(
-    scenario: Scenario,
-    plan: BudgetPlan,
-    seed: int,
-    backend: Backend,
-    *,
-    settings: ConfiguratorSettings | None = None,
-    transfer_forest: ForestParams | None = None,
-    cores: int | None = None,
-) -> ConstructionResult:
-    """The grouped constructor on a fresh random even split per repetition.
-
-    A pcit plan has n phases with transfers between them; a pcrs plan has
-    one phase and so performs no transfers, which is exactly the
-    random-splitting baseline.
-    """
-    if plan.method not in ("pcit", "pcrs"):
-        raise ValueError(f"plan is for method {plan.method!r}")
-
-    def random_split(rep_seed: int) -> InstanceGrouping:
-        return split_random_even(scenario.train_instances, scenario.k, rep_seed)
-
-    return construct_grouped(
-        scenario, plan, seed, backend, random_split, [],
-        settings=settings, transfer_forest=transfer_forest, cores=cores,
-    )
-
-
-construct_pcrs = construct_pcit
+construct_pcit = construct_pcrs = construct_clustering = construct_grouped
 
 
 # ---------------------------------------------------------------------------
@@ -495,20 +487,8 @@ def kmeans(
     return labels, centers, tuple(inertias)
 
 
-def construct_clustering(
-    scenario: Scenario,
-    plan: BudgetPlan,
-    seed: int,
-    backend: Backend,
-    *,
-    normalization: str = "none",
-    settings: ConfiguratorSettings | None = None,
-    cores: int | None = None,
-) -> ConstructionResult:
-    """Cluster instances in feature space once, then run the grouped
-    constructor on that grouping in every repetition."""
-    if plan.method != "clustering":
-        raise ValueError(f"plan is for method {plan.method!r}")
+def _cluster(scenario: Scenario, seed: int, normalization: str) -> InstanceGrouping:
+    """The k-means grouping of the training instances in feature space."""
     if scenario.feature_dimension == 0:
         raise ValueError("clustering needs instance features")
     train = scenario.train_instances
@@ -518,15 +498,7 @@ def construct_clustering(
         tuple(ins.id for ins, lab in zip(train, labels) if lab == j)
         for j in range(scenario.k)
     ]
-    grouping = InstanceGrouping(tuple(subsets), 1, len(train))
-    events = [
-        {"event": "clustering", "normalization": normalization,
-         "cluster_sizes": list(grouping.sizes())}
-    ]
-    return construct_grouped(
-        scenario, plan, seed, backend, lambda _rep_seed: grouping, events,
-        settings=settings, cores=cores,
-    )
+    return InstanceGrouping(tuple(subsets), 1, len(train))
 
 
 # ---------------------------------------------------------------------------
@@ -674,23 +646,14 @@ def construct_parhydra(
                 initial_incumbent=initial,
                 settings=settings,
             )
-            return decode_product_config(scenario.space, winner, b), store
+            return prefix + decode_product_config(scenario.space, winner, b), store
 
-        blocks = _exclude_failed(
-            _map_calls(one_block, plan.r, backend, cores, keep_errors=True), events
-        )
-        stores.extend(store for _, store in blocks)
-        candidates = tuple(prefix + block for block, _ in blocks)
-        outcome = validate_and_select(
-            candidates,
-            scenario.train_instances,
-            plan.t_v,
-            scenario.cutoff,
-            scenario.metric.penalty,
+        outputs, outcome = _repetitions(
+            one_block, plan, scenario, backend, cores, ledger, events,
             derive_seed(seed, "validation", iteration),
-            backend,
-            ledger,
         )
+        stores.extend(store for _, store in outputs)
+        candidates = tuple(candidate for candidate, _ in outputs)
         prefix = candidates[outcome.best_index]
         prefix_cache = {
             r.instance_id: (r.status, r.runtime) for r in outcome.best_results

@@ -72,12 +72,10 @@ class RunRecord:
     subset_index: int | None = None
 
     def __post_init__(self) -> None:
-        if self.cutoff <= 0:
-            raise ValueError(f"cutoff must be positive, got {self.cutoff}")
-        if self.runtime < 0:
-            raise ValueError(f"runtime must be >= 0, got {self.runtime}")
-        if self.runtime > self.cutoff:
-            raise ValueError(f"runtime {self.runtime} exceeds cutoff {self.cutoff}")
+        if not 0 < self.cutoff < math.inf:
+            raise ValueError(f"cutoff must be positive and finite, got {self.cutoff}")
+        if not 0 <= self.runtime <= self.cutoff:
+            raise ValueError(f"runtime {self.runtime} must lie in [0, cutoff {self.cutoff}]")
         if self.status is RunStatus.TIMEOUT and self.runtime != self.cutoff:
             raise ValueError("TIMEOUT records must have runtime == cutoff")
 

@@ -14,6 +14,7 @@ unparseable result line yields a CRASHED record.
 
 from __future__ import annotations
 
+import math
 import os
 import re
 import shlex
@@ -108,8 +109,8 @@ def execute_run(
     The returned record is appended to the store and its runtime charged to
     the ledger as configuration time when those are given.
     """
-    if cutoff <= 0:
-        raise ValueError("cutoff must be positive")
+    if not 0 < cutoff < math.inf:
+        raise ValueError(f"cutoff must be positive and finite, got {cutoff}")
     status, runtime = clamp_run(*backend.run(config, instance, cutoff, seed), cutoff)
     record = RunRecord(
         config_id=config.config_id,

@@ -34,7 +34,6 @@ CATEGORICAL = "categorical"
 
 SENTINEL = -1.0  # encoding slot for inactive parameters
 
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_-]*")
 _PARAM_RE = re.compile(
     r"^(?P<name>[A-Za-z_][A-Za-z0-9_-]*)\s+(?P<kind>real|integer|categorical)\s+"
     r"(?P<domain>\[[^\]]*\]|\{[^}]*\})\s*\[(?P<default>[^\]]*)\]\s*(?P<log>log)?$"

@@ -1,3 +1,4 @@
+import itertools
 import logging
 import math
 import threading
@@ -201,27 +202,30 @@ class TestKMeans:
         assert all(len(v) == 1 for v in agreement.values())
 
 
-def check_first_repetition_excluded(method, caplog):
-    """The repetition whose first solver run raises is left out and logged."""
+def check_first_repetition_excluded(method, caplog, cores=1):
+    """The first solver run raises; the repetition that made it is left out
+    and logged. On threads, which repetition that is depends on the
+    schedule."""
     syn = tiny_synthetic(seed=9)
     backend = syn.backend()
-    calls = {"n": 0}
+    calls = itertools.count()
     original = backend.run
 
     def flaky(config, instance, cutoff, seed):
-        calls["n"] += 1
-        if calls["n"] == 1:
+        if next(calls) == 0:
             raise RuntimeError("solver exploded")
         return original(config, instance, cutoff, seed)
 
     backend.run = flaky
     plan = plan_budget(method, 2, 600.0, 300.0, 2)
     with caplog.at_level(logging.WARNING):
-        result = CONSTRUCTORS[method](syn.scenario, plan, 2, backend, settings=FAST, cores=1)
+        result = CONSTRUCTORS[method](syn.scenario, plan, 2, backend, settings=FAST, cores=cores)
     assert len(result.candidates) == len(result.validation_scores) == 1
     assert any("excluded" in r.message for r in caplog.records)
-    failed = [e for e in result.events if e["event"] == "repetition_failed"]
-    assert [e["repetition"] for e in failed] == [0]
+    failed = [e["repetition"] for e in result.events if e["event"] == "repetition_failed"]
+    assert len(failed) == 1
+    if cores == 1:
+        assert failed == [0]
 
 
 class TestGroupedConstructors:
@@ -404,32 +408,66 @@ class TestScheduleIndependence:
         with pytest.raises(ValueError, match="cores"):
             CONSTRUCTORS[method](syn.scenario, plan, 5, syn.backend(), settings=FAST, cores=cores)
 
+    @pytest.mark.parametrize("method", ["pcrs", "clustering", "global"])
+    def test_crashing_repetition_excluded_on_threads(self, method, caplog, monkeypatch):
+        monkeypatch.setattr(constructors, "ExternalBackend", SyntheticBackend)
+        check_first_repetition_excluded(method, caplog, cores=2)
+
     def test_in_process_backend_runs_calls_in_order_on_calling_thread(self):
-        calls = []
+        syn = tiny_synthetic(seed=18, families=2, configs=6, train=16, k=2)
+        plan = plan_budget("pcit", 2, 300.0, 100.0, 2, n=2)
+        backend = syn.backend()
+        run_threads = set()
+        solve = backend.run
 
-        def work(i):
-            calls.append((i, threading.get_ident()))
-            if i == 2:
-                raise RuntimeError("repetition failed")
-            return i * i
+        def run(*args):
+            run_threads.add(threading.get_ident())
+            return solve(*args)
 
-        outputs = constructors._map_calls(
-            work, 4, tiny_synthetic().backend(), cores=4, keep_errors=True
+        backend.run = run
+        result = construct_pcit(
+            syn.scenario, plan, 5, backend, settings=FAST, transfer_forest=SMALL_TRANSFER, cores=4
         )
-        assert outputs[:2] == [0, 1] and outputs[3] == 9
-        assert isinstance(outputs[2], RuntimeError)
-        assert calls == [(i, threading.get_ident()) for i in range(4)]
+        assert run_threads == {threading.get_ident()}
+        phases = [(e["repetition"], e["phase"]) for e in result.events if e["event"] == "phase_done"]
+        assert phases == [(0, 1), (0, 2), (1, 1), (1, 2)]
 
     def test_programming_error_propagates_from_threads(self, monkeypatch):
         monkeypatch.setattr(constructors, "ExternalBackend", SyntheticBackend)
+        syn = tiny_synthetic(seed=10)
+        for method in ("pcrs", "global"):
+            raised_on = set()
 
-        def work(i):
-            if i == 1:
+            def faulty(config, instance, cutoff, seed):
+                raised_on.add(threading.get_ident())
                 raise TypeError("bad call")
-            return i
 
-        with pytest.raises(TypeError, match="bad call"):
-            constructors._map_calls(work, 3, tiny_synthetic().backend(), cores=2, keep_errors=True)
+            backend = syn.backend()
+            backend.run = faulty
+            plan = plan_budget(method, 2, 600.0, 300.0, 2)
+            with pytest.raises(TypeError, match="bad call"):
+                CONSTRUCTORS[method](syn.scenario, plan, 2, backend, settings=FAST, cores=2)
+            assert raised_on and threading.get_ident() not in raised_on
+
+
+class TestPlanMethodChecks:
+    @pytest.mark.parametrize(
+        "name", ["construct_grouped", "construct_pcit", "construct_pcrs", "construct_clustering"]
+    )
+    @pytest.mark.parametrize("method", ["global", "parhydra"])
+    def test_grouped_constructor_rejects_block_plans(self, name, method):
+        syn = tiny_synthetic()
+        plan = plan_budget(method, 2, 300.0, 100.0, 1)
+        with pytest.raises(ValueError, match=f"plan is for method '{method}'"):
+            getattr(constructors, name)(syn.scenario, plan, 0, syn.backend(), settings=FAST)
+
+    @pytest.mark.parametrize("name", ["construct_parhydra", "construct_global"])
+    @pytest.mark.parametrize("method", ["pcit", "pcrs", "clustering"])
+    def test_block_constructor_rejects_grouped_plans(self, name, method):
+        syn = tiny_synthetic()
+        plan = plan_budget(method, 2, 300.0, 100.0, 1)
+        with pytest.raises(ValueError, match=f"plan is for method '{method}'"):
+            getattr(constructors, name)(syn.scenario, plan, 0, syn.backend(), settings=FAST)
 
 
 class TestClustering:

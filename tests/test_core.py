@@ -218,6 +218,19 @@ class TestRecords:
         with pytest.raises(ValueError):
             RunRecord("c", "i", 0, RunStatus.SOLVED, 61.0, 60.0)
 
+    @pytest.mark.parametrize(
+        "status,runtime,cutoff",
+        [
+            (RunStatus.SOLVED, 1.0, math.nan),
+            (RunStatus.SOLVED, 1.0, math.inf),
+            (RunStatus.SOLVED, math.nan, 10.0),
+            (RunStatus.TIMEOUT, math.inf, math.inf),
+        ],
+    )
+    def test_non_finite_cutoff_or_runtime_rejected(self, status, runtime, cutoff):
+        with pytest.raises(ValueError):
+            RunRecord("c", "i", 0, status, runtime, cutoff)
+
     def test_grouping_rejects_duplicates(self):
         with pytest.raises(ValueError):
             InstanceGrouping((("a", "b"), ("b",)), 1, 2)

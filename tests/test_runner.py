@@ -1,3 +1,4 @@
+import math
 import os
 import stat
 import textwrap
@@ -69,6 +70,22 @@ class TestSyntheticExecution:
         execute_run(backend, config, Instance("i1"), 20.0, 0, store=store, ledger=ledger)
         assert len(store) == 1
         assert ledger.configuration_time == pytest.approx(4.0)
+
+    @pytest.mark.parametrize("cutoff", [math.nan, math.inf])
+    def test_non_finite_cutoff_rejected_before_any_run(self, space, cutoff):
+        backend = SyntheticBackend(manual_spec())
+        calls = []
+        solve = backend.run
+
+        def run(*args):
+            calls.append(args)
+            return solve(*args)
+
+        backend.run = run
+        config = make_config(space, {"strategy": "fast"})
+        with pytest.raises(ValueError, match="positive and finite"):
+            execute_run(backend, config, Instance("i1"), cutoff, seed=0)
+        assert calls == []
 
     def test_bit_deterministic(self, space):
         spec = SyntheticScenarioSpec(
