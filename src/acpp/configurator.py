@@ -2,8 +2,10 @@
 
 The engine interleaves one random challenger with one model-greedy
 challenger (picked from a pool of random candidates scored by the forest;
-the pool is drawn as value tuples and encoded straight into one matrix, and
-only its argmin becomes a ``Configuration``),
+the pool's value tuples are decoded from one block of generator words by
+``SamplingPlan.draw_many``, with the candidates and generator state of one
+``draw`` per candidate, then encoded straight into one matrix, and only
+its argmin becomes a ``Configuration``),
 races each challenger against the incumbent on a growing, seeded-shuffle
 instance schedule with early elimination, and caps challenger runs at a
 multiple of the incumbent's time on the same instance. A challenger is
@@ -61,6 +63,12 @@ class ConfiguratorSettings:
     n_candidates: int = 1000
     score_instance_sample: int = 10
     forest: ForestParams = field(default_factory=lambda: ForestParams(n_trees=10))
+
+    def __post_init__(self) -> None:
+        if self.n_candidates < 1 or self.score_instance_sample < 1:
+            raise ValueError("n_candidates and score_instance_sample must be >= 1")
+        if not 1.0 <= self.refit_growth < math.inf:
+            raise ValueError("refit_growth must be finite and >= 1")
 
 
 @dataclass
@@ -172,12 +180,8 @@ def configure(
             return sample_config(space, rng)
         # value tuples in first-seen order, on which argmin's first-minimum
         # tie-break depends
-        incumbent_values = plan.values_of(state.incumbent)
-        pool: dict[tuple, None] = {}
-        for _ in range(settings.n_candidates):
-            values = plan.draw(rng)
-            if values != incumbent_values:
-                pool[values] = None
+        pool = dict.fromkeys(plan.draw_many(rng, settings.n_candidates))
+        pool.pop(plan.values_of(state.incumbent), None)
         if not pool:
             return sample_config(space, rng)
         if model is None:

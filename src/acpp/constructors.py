@@ -307,9 +307,16 @@ def construct_grouped(
     from the previous phase), and the grouping is adjusted by instance
     transfer after every phase but the last. A pcit plan has n phases; pcrs
     and clustering plans have one and so perform no transfers.
+    ``normalization`` is read by clustering plans only, and
+    ``transfer_forest`` by plans of more than one phase; giving either to
+    another plan raises ``ValueError``.
     """
     if plan.method not in ("pcit", "pcrs", "clustering"):
         raise ValueError(f"plan is for method {plan.method!r}")
+    if normalization != "none" and plan.method != "clustering":
+        raise ValueError(f"a {plan.method} plan does not read normalization")
+    if transfer_forest is not None and len(plan.phase_budgets) == 1:
+        raise ValueError("a single-phase plan performs no transfer to use transfer_forest")
     cores = _check_cores(cores)
     events: list[dict] = []
     if plan.method == "clustering":

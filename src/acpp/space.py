@@ -330,6 +330,83 @@ def sample_config(space: ParameterSpace, seed: int | Random) -> Configuration:
 _CHOICE, _UNIFORM_INT, _LOG_INT, _UNIFORM_REAL, _LOG_REAL = range(5)
 
 
+class _WordBlock:
+    """A block of 32-bit ``Random`` outputs, with, per draw rule, the word
+    position after a draw that starts at each position.
+
+    CPython's ``random.Random`` (3.10 to 3.13) draws ``randrange(n)`` and
+    ``randint`` by attempts of ``getrandbits(k)``, k = ``n.bit_length()``,
+    until one is below n. ``getrandbits(k)`` reads ceil(k / 32) words, least
+    significant first, and keeps the top bits of the last one; so does
+    ``getrandbits(32 * w)``, which reads the block. ``random()`` reads two
+    words a, b as ((a >> 5) * 2**26 + (b >> 6)) / 2**53, and ``uniform(lo,
+    hi)`` is lo + (hi - lo) * random(). Positions run from 0 to ``size``;
+    ``none`` (``size + 1``) marks a draw that ran past the block, and every
+    table maps it to itself.
+    """
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+        self.size = size = len(words)
+        self.none = size + 1
+        self.pair_end = np.minimum(np.arange(2, size + 4), self.none)
+        self._below: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+    def below(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """For ``randrange(n)`` from each position: the position after it,
+        and its value (below 2**32) or, for wider n, its accepted attempt's
+        position."""
+        tables = self._below.get(n)
+        if tables is None:
+            tables = self._below[n] = self._attempts(n)
+        return tables
+
+    def _attempts(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        k = n.bit_length()
+        per_attempt = (k + 31) // 32
+        words, size, none = self.words, self.size, self.none
+        if per_attempt == 1:
+            top = words >> (32 - k)
+            ok = top < n
+        else:
+            # compare each attempt with n limb by limb, most significant first
+            starts = max(size - per_attempt + 1, 0)
+            less, tie = np.zeros(starts, bool), np.ones(starts, bool)
+            for j in reversed(range(per_attempt)):
+                limb = words[j : j + starts]
+                if j == per_attempt - 1:
+                    limb = limb >> (32 * per_attempt - k)
+                bound = (n >> (32 * j)) & 0xFFFFFFFF
+                less |= tie & (limb < bound)
+                tie &= limb == bound
+            ok = np.zeros(size, bool)
+            ok[:starts] = less
+        # the first accepted attempt at or after each position, attempts
+        # stepping by per_attempt words
+        accepted = np.full(size + 2, none)
+        here = np.where(ok, np.arange(size), none)
+        for r in range(per_attempt):
+            accepted[r:size:per_attempt] = np.minimum.accumulate(
+                here[r::per_attempt][::-1]
+            )[::-1]
+        end = np.minimum(accepted + per_attempt, none)
+        if per_attempt == 1:
+            return end, np.append(top, (0, 0))[accepted]
+        return end, accepted
+
+    def value(self, at: int, n: int) -> int:
+        """The ``getrandbits(n.bit_length())`` attempt at word ``at``."""
+        k = n.bit_length()
+        per_attempt = (k + 31) // 32
+        limbs = self.words[at : at + per_attempt].tolist()
+        limbs[-1] >>= 32 * per_attempt - k
+        return sum(limb << (32 * j) for j, limb in enumerate(limbs))
+
+
+def _read_words(rng: Random, n: int) -> np.ndarray:
+    return np.frombuffer(rng.getrandbits(32 * n).to_bytes(4 * n, "little"), "<u4")
+
+
 class SamplingPlan:
     """A space compiled for drawing candidates without building Configurations.
 
@@ -341,6 +418,11 @@ class SamplingPlan:
     every value as ``make_config`` does, so a tuple and the Configuration
     built from it are interchangeable and equal tuples mean equal
     configurations.
+
+    ``draw`` is the single-draw path and the reference. ``draw_many``
+    decodes a whole pool from one block of generator words: it returns the
+    tuples that ``draw`` would return one after another and leaves the
+    generator in the same state, without a Python loop per candidate.
     """
 
     def __init__(self, space: ParameterSpace):
@@ -360,6 +442,45 @@ class SamplingPlan:
         # make_config checks values in name order; so does draw, to raise
         # the same error when more than one value is out of domain
         self._checks = tuple((slot_of[name], space[name]) for name in sorted(self.names))
+        self._compile_word_rules()
+
+    def _compile_word_rules(self) -> None:
+        """Per slot, for ``draw_many``: its conditions as (parent slot, table
+        of the parent's codes that activate it, the last entry for an
+        inactive parent), the bound of its ``randrange`` (0 for a rule that
+        reads ``uniform``), whether it is categorical and whether a condition
+        reads its code. Also the expected words per candidate, which sizes
+        the first block."""
+        parents = {parent for conds, _, _ in self._slots for parent, _ in conds}
+        rules, active_share = [], []
+        self._words_per_draw = 0.0
+        for i, (conds, rule, args) in enumerate(self._slots):
+            tables, share = [], 1.0
+            for parent, activating in conds:
+                choices, n = self._slots[parent][2]
+                table = np.zeros(n + 1, bool)
+                table[[choices.index(value) for value in activating]] = True
+                tables.append((parent, table))
+                # an estimate: conditions are taken as independent
+                share *= active_share[parent] * np.count_nonzero(table) / n
+            active_share.append(share)
+            if rule == _CHOICE:
+                bound = args[1]
+            elif rule == _UNIFORM_INT:
+                bound = args[1] - args[0] + 1
+            else:
+                bound = 0
+            if bound:
+                k = bound.bit_length()
+                self._words_per_draw += share * ((k + 31) // 32) * 2**k / bound
+            else:
+                self._words_per_draw += share * 2
+            rules.append((tuple(tables), bound, rule == _CHOICE, i in parents))
+        self._word_rules = tuple(rules)
+        self._choice_values = tuple(
+            np.array(args[0] + (None,), dtype=object) if rule == _CHOICE else None
+            for _, rule, args in self._slots
+        )
 
     @staticmethod
     def _draw_rule(param: Parameter) -> tuple[int, tuple]:
@@ -399,6 +520,131 @@ class SamplingPlan:
             if values[i] is not None:
                 values[i] = _domain_value(param, values[i])
         return tuple(values)
+
+    def draw_many(self, rng: Random, m: int) -> list[tuple]:
+        """``[self.draw(rng) for _ in range(m)]``, decoded from one block of
+        the generator's words, and ``rng`` left in the same state.
+
+        The block is decoded from every start word at once (``_walk``), the
+        candidates are the chain of starts from word 0, and the generator is
+        then rewound and advanced by the words the chain used. A block that
+        runs out is doubled and decoded again.
+        """
+        if type(rng) is not Random:
+            raise TypeError(f"draw_many needs a random.Random, not {type(rng).__name__}")
+        if not self._slots:
+            return [()] * m
+        if m < 1:
+            return []
+        state = rng.getstate()
+        words = _read_words(rng, int(1.25 * m * self._words_per_draw) + 32)
+        while True:
+            block = _WordBlock(words)
+            ends = self._walk(block, np.arange(block.size + 2), None)
+            # the chain 0, ends[0], ends[ends[0]], ... by pointer doubling
+            starts, jump = np.zeros(1, np.intp), ends
+            while len(starts) < m:
+                starts = np.concatenate((starts, jump[starts]))
+                jump = jump[jump]
+            starts = starts[:m]
+            used = int(ends[starts[-1]])
+            if used <= block.size:
+                break
+            words = np.concatenate((words, _read_words(rng, block.size)))
+        values, bad = self._decode(block, starts)
+        rng.setstate(state)
+        if bad is not None:
+            # the value make_config rejects is the one draw computes, so
+            # draw raises its error, with rng where the scalar draws leave it
+            rng.getrandbits(32 * int(starts[bad]))
+            self.draw(rng)
+        rng.getrandbits(32 * used)
+        return values
+
+    def _walk(self, block: _WordBlock, pos: np.ndarray, record: list | None) -> np.ndarray:
+        """The word position after a candidate drawn from each of ``pos``.
+
+        With ``record``, appends per slot its active mask (``None`` when
+        unconditional) and what decodes its value: the code for a
+        ``randrange`` below 2**32 (a categorical's is its bound where
+        inactive), else the position of the accepted attempt or of the
+        ``uniform`` draw.
+        """
+        codes: list[np.ndarray | None] = []
+        for conds, bound, is_choice, is_parent in self._word_rules:
+            active = None
+            for parent, table in conds:
+                hit = table[codes[parent]]
+                active = hit if active is None else active & hit
+            got = None
+            if bound:
+                after, decodes = block.below(bound)
+                end = after[pos]
+                if is_parent or record is not None:
+                    got = decodes[pos]
+                    if active is not None and is_choice:
+                        got = np.where(active, got, bound)
+            else:
+                end = block.pair_end[pos]
+                got = pos
+            if active is not None:
+                end = np.where(active, end, pos)
+            codes.append(got)
+            if record is not None:
+                record.append((active, got))
+            pos = end
+        return pos
+
+    def _decode(self, block: _WordBlock, starts: np.ndarray) -> tuple[list[tuple], int | None]:
+        """The candidates drawn from ``starts``, and the index of the first
+        one with a value out of its domain (``None`` when all are in)."""
+        record: list = []
+        self._walk(block, starts, record)
+        words = block.words
+        bad = np.zeros(len(starts), bool)
+        columns = []
+        for i, ((_, rule, args), (active, got)) in enumerate(zip(self._slots, record)):
+            if rule == _CHOICE:
+                columns.append(self._choice_values[i][got].tolist())
+                continue
+            if active is not None:
+                got = got[active]
+            if rule == _UNIFORM_INT:
+                lower, upper = args
+                n = upper - lower + 1
+                if n < 2**32:
+                    column = [lower + code for code in got.tolist()]
+                else:
+                    column = [lower + block.value(at, n) for at in got.tolist()]
+            else:
+                r = ((words[got] >> 5) * 67108864.0 + (words[got + 1] >> 6)) * (
+                    1.0 / 9007199254740992.0
+                )
+                if rule == _LOG_INT:
+                    log_lower, log_upper, lower, upper = args
+                    column = [
+                        min(max(int(round(math.exp(u))), lower), upper)
+                        for u in (log_lower + (log_upper - log_lower) * r).tolist()
+                    ]
+                else:
+                    lower, upper = args
+                    u = float(lower) + float(upper - lower) * r
+                    if rule == _LOG_REAL:
+                        u = np.array([math.exp(x) for x in u.tolist()])
+                        lower, upper = self.params[i].lower, self.params[i].upper
+                    out = ~((lower <= u) & (u <= upper))
+                    if active is None:
+                        bad |= out
+                    else:
+                        bad[active] |= out
+                    column = u.tolist()
+            if active is not None:
+                placed = np.full(len(starts), None, dtype=object)
+                placed[active] = column
+                column = placed.tolist()
+            columns.append(column)
+        first_bad = int(np.argmax(bad)) if bad.any() else None
+        return list(zip(*columns)), first_bad
 
     def assignments(self, values: Sequence[Any]) -> dict[str, Any]:
         """The active assignments of a value tuple, for ``make_config``."""

@@ -11,7 +11,7 @@ from acpp.core import Instance, Metric, RunStatus
 from acpp.perfmodel import ForestParams, PerformanceModel
 from acpp.rundata import RunDataStore
 from acpp.runner import BudgetLedger, execute_run
-from acpp.space import default_config, enumerate_configs, make_config, parse_space
+from acpp.space import SamplingPlan, default_config, enumerate_configs, make_config, parse_space
 from acpp.synthetic import SyntheticBackend, SyntheticScenarioSpec
 
 FAST_SETTINGS = ConfiguratorSettings(
@@ -175,6 +175,52 @@ class TestContracts:
             configure(
                 space, [], cutoff, 100.0, Metric.PAR10, backend_runs(backend, RunDataStore()), 0
             )
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("n_candidates", 0),
+            ("n_candidates", -5),
+            ("score_instance_sample", 0),
+            ("refit_growth", 0.5),
+            ("refit_growth", math.nan),
+            ("refit_growth", math.inf),
+        ],
+    )
+    def test_invalid_settings_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ConfiguratorSettings(**{field: value})
+
+
+class TestProposalPool:
+    def test_pool_is_drawn_without_a_draw_per_candidate(self, monkeypatch):
+        # every scalar draw belongs to a random challenger's sample_config;
+        # the pools come from draw_many
+        draws, samples, pools = [], [], []
+        draw, sample, draw_many = SamplingPlan.draw, configurator.sample_config, SamplingPlan.draw_many
+
+        def counting_draw(plan, rng):
+            draws.append(1)
+            return draw(plan, rng)
+
+        def counting_sample(space, rng):
+            samples.append(1)
+            return sample(space, rng)
+
+        def recording_draw_many(plan, rng, m):
+            pools.append(m)
+            return draw_many(plan, rng, m)
+
+        monkeypatch.setattr(SamplingPlan, "draw", counting_draw)
+        monkeypatch.setattr(configurator, "sample_config", counting_sample)
+        monkeypatch.setattr(SamplingPlan, "draw_many", recording_draw_many)
+        space, instances, backend, cutoff = numeric_scenario()
+        configure(
+            space, instances, cutoff, 1500.0, Metric.PAR10, backend_runs(backend, RunDataStore()),
+            0, settings=ACCEPTANCE_FAST,
+        )
+        assert pools and set(pools) == {ACCEPTANCE_FAST.n_candidates}
+        assert samples and len(draws) == len(samples)
 
 
 class TestSearchQuality:

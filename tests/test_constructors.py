@@ -17,6 +17,7 @@ from acpp.constructors import (
     PortfolioEvaluator,
     construct_clustering,
     construct_global,
+    construct_grouped,
     construct_parhydra,
     construct_pcit,
     construct_pcrs,
@@ -301,9 +302,9 @@ class TestGroupedConstructors:
             return status, runtime
 
         backend.run = run
-        result = construct_pcit(
-            syn.scenario, plan, seed, backend, settings=FAST, transfer_forest=SMALL_TRANSFER
-        )
+        # pcrs plans have one phase and take no transfer forest
+        extra = {"transfer_forest": SMALL_TRANSFER} if method == "pcit" else {}
+        result = construct_grouped(syn.scenario, plan, seed, backend, settings=FAST, **extra)
         stored = [r.runtime for store in result.stores for r in store.records()]
         assert math.isclose(result.ledger.configuration_time, math.fsum(stored), rel_tol=1e-9)
         assert math.isclose(result.ledger.total, math.fsum(charged), rel_tol=1e-9)
@@ -460,6 +461,27 @@ class TestPlanMethodChecks:
         plan = plan_budget(method, 2, 300.0, 100.0, 1)
         with pytest.raises(ValueError, match=f"plan is for method '{method}'"):
             getattr(constructors, name)(syn.scenario, plan, 0, syn.backend(), settings=FAST)
+
+    @pytest.mark.parametrize("method", ["pcit", "pcrs"])
+    def test_normalization_only_for_clustering_plans(self, method):
+        syn = tiny_synthetic()
+        plan = plan_budget(method, 2, 300.0, 100.0, 1, n=2)
+        with pytest.raises(ValueError, match="does not read normalization"):
+            construct_grouped(
+                syn.scenario, plan, 0, syn.backend(), settings=FAST, normalization="sideways"
+            )
+
+    @pytest.mark.parametrize(
+        "method, n", [("pcrs", 4), ("clustering", 4), ("pcit", 1)]
+    )
+    def test_transfer_forest_only_for_phased_plans(self, method, n):
+        syn = tiny_synthetic()
+        plan = plan_budget(method, 2, 300.0, 100.0, 1, n=n)
+        with pytest.raises(ValueError, match="single-phase plan"):
+            construct_grouped(
+                syn.scenario, plan, 0, syn.backend(), settings=FAST,
+                transfer_forest=SMALL_TRANSFER,
+            )
 
     @pytest.mark.parametrize("name", ["construct_parhydra", "construct_global"])
     @pytest.mark.parametrize("method", ["pcit", "pcrs", "clustering"])

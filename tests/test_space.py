@@ -1,5 +1,5 @@
 import math
-from random import Random
+from random import Random, SystemRandom
 
 import numpy as np
 import pytest
@@ -307,6 +307,10 @@ class TestSamplingPlan:
         for row, (_, config) in zip(rows, drawn):
             assert np.array_equal(row, reference_encode_config(space, config))
             assert np.array_equal(row, encode_config(space, config))
+        for m in (1, 7, 128, 1000):
+            many_rng, scalar_rng = Random(seed + m), Random(seed + m)
+            assert plan.draw_many(many_rng, m) == [plan.draw(scalar_rng) for _ in range(m)]
+            assert many_rng.getstate() == scalar_rng.getstate()
 
     def test_plan_covers_every_draw_rule(self):
         space = parse_space(
@@ -351,6 +355,66 @@ class TestSamplingPlan:
             sample_config(space, Random(0))
         assert "outside domain" in str(reference_error.value)
         assert str(plan_error.value) == str(reference_error.value) == str(wrapper_error.value)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "n integer [0, 1099511627776] [0]\n",  # [0, 2**40]: two words per attempt
+            "s categorical {a, b, c} [a]\n"
+            "n integer [-5, 1180591620717411303424] [0]\n"  # [-5, 2**70]: three words
+            "m integer [0, 4294967296] [0]\n"  # [0, 2**32]: bound 2**32 + 1
+            "\n[conditions]\nn | s in {b, c}\n",
+        ],
+    )
+    def test_draw_many_decodes_integer_domains_wider_than_one_word(self, text):
+        plan = parse_space(text).sampling_plan
+        for seed in range(20):
+            for m in (1, 5, 300):
+                many_rng, scalar_rng = Random(seed), Random(seed)
+                drawn = plan.draw_many(many_rng, m)
+                assert drawn == [plan.draw(scalar_rng) for _ in range(m)]
+                assert many_rng.getstate() == scalar_rng.getstate()
+        assert any(isinstance(value, int) and value > 2**32 for row in drawn for value in row)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_draw_many_raises_the_scalar_domain_error(self, seed):
+        # exp(log(upper)) rounds above upper, and these log domains are so
+        # narrow that a draw lands on log(upper) about one time in five
+        space = parse_space(
+            "s categorical {a, b, c} [a]\n"
+            "zeta real [2.9999999999999987, 3.0] [3.0] log\n"
+            "beta real [9.999999999999993, 10.0] [10.0] log\n"
+            "\n[conditions]\nzeta | s in {b, c}\nbeta | s in {c}\n"
+        )
+        plan = space.sampling_plan
+        many_rng, scalar_rng = Random(seed), Random(seed)
+        with pytest.raises(ValueError) as scalar_error:
+            [plan.draw(scalar_rng) for _ in range(100)]
+        with pytest.raises(ValueError) as many_error:
+            plan.draw_many(many_rng, 100)
+        assert "outside domain" in str(scalar_error.value)
+        assert str(many_error.value) == str(scalar_error.value)
+        assert many_rng.getstate() == scalar_rng.getstate()
+
+    def test_draw_many_grows_a_block_that_runs_out(self, monkeypatch):
+        space = compose_product_space(parse_space(SIMPLE), 2)
+        plan = space.sampling_plan
+        monkeypatch.setattr(plan, "_words_per_draw", 0.01)
+        many_rng, scalar_rng = Random(4), Random(4)
+        assert plan.draw_many(many_rng, 500) == [plan.draw(scalar_rng) for _ in range(500)]
+        assert many_rng.getstate() == scalar_rng.getstate()
+
+    def test_draw_many_edge_sizes(self):
+        rng = Random(2)
+        state = rng.getstate()
+        assert parse_space(SIMPLE).sampling_plan.draw_many(rng, 0) == []
+        assert ParameterSpace(()).sampling_plan.draw_many(rng, 3) == [(), (), ()]
+        assert rng.getstate() == state
+
+    @pytest.mark.parametrize("rng", [SystemRandom(), type("Custom", (Random,), {})(1)])
+    def test_draw_many_needs_a_plain_random(self, rng):
+        with pytest.raises(TypeError, match="random.Random"):
+            parse_space(SIMPLE).sampling_plan.draw_many(rng, 3)
 
     def test_log_integer_draw_is_clamped(self, monkeypatch):
         space = parse_space("level integer [2, 64] [8] log\n")
