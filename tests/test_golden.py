@@ -1,10 +1,18 @@
 """Golden outputs of the command-line path for every construction method.
 
-One small planted scenario goes through ``synth-gen``, ``construct`` (each
-method, two seeds, ``--cores 1``) and ``test``, all via ``run_command``.
+Two small planted scenarios go through ``construct`` (each method, two
+seeds, ``--cores 1``) and ``test``, all via ``run_command``.
 ``portfolio.json``, ``report.json`` and ``construction_log.jsonl`` must
-equal the files under ``tests/golden/<method>-seed<seed>/`` byte for byte,
-so a refactor that claims to keep results can be checked against them.
+equal the files under ``tests/golden/`` byte for byte, so a refactor that
+claims to keep results can be checked against them:
+
+- ``<method>-seed<seed>/``: a categorical-only scenario made by
+  ``synth-gen``, built at ``--tc 300``;
+- ``tilt/<method>-seed<seed>/``: the same shape with a real ``tilt``
+  parameter and four feature columns, built at ``--tc 600``. ``synth-gen``
+  has no tilt option, so this scenario is written through the library.
+  Its builds draw candidate pools with a real slot, and pcit's subsets
+  end some phases with different incumbents.
 
 After a change that is meant to move the outputs, rewrite the files with
 ``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
@@ -15,18 +23,21 @@ from pathlib import Path
 import pytest
 
 from acpp.cli import run_command
+from acpp.synthetic import generate_synthetic_scenario, write_scenario_files
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+TILT_GOLDEN = GOLDEN / "tilt"
 METHODS = ("pcit", "pcrs", "global", "clustering", "parhydra")
 SEEDS = (0, 1)
 FILES = ("portfolio.json", "report.json", "construction_log.jsonl")
 SYNTH_ARGS = ["synth-gen", "--families", "3", "--configs", "5", "--instances", "24", "--seed", "3"]
 BUDGET_ARGS = ["--tc", "300", "--tv", "120", "--r", "2", "--cores", "1"]
+TILT_BUDGET_ARGS = ["--tc", "600", "--tv", "120", "--r", "2", "--cores", "1"]
 
 
-def build(method: str, seed: int, scenario: Path, out_dir: Path) -> None:
+def build(method: str, seed: int, scenario: Path, out_dir: Path, budget_args=BUDGET_ARGS) -> None:
     construct = ["construct", "--method", method, "--scenario", str(scenario),
-                 "--seed", str(seed), *BUDGET_ARGS, "--out-dir", str(out_dir)]
+                 "--seed", str(seed), *budget_args, "--out-dir", str(out_dir)]
     assert run_command(construct) == 0
     test = ["test", "--portfolio", str(out_dir / "portfolio.json"),
             "--scenario", str(scenario), "--out-dir", str(out_dir)]
@@ -38,33 +49,61 @@ def make_scenario(out_dir: Path) -> Path:
     return out_dir / "scenario.json"
 
 
+def make_tilt_scenario(out_dir: Path) -> Path:
+    synthetic = generate_synthetic_scenario(
+        n_families=3, n_configs=5, n_train=24, seed=3, feature_dim=4, tilt_effect=0.3
+    )
+    return write_scenario_files(synthetic, out_dir)
+
+
+def assert_matches(out_dir: Path, expected_dir: Path) -> None:
+    for name in FILES:
+        assert (out_dir / name).read_bytes() == (expected_dir / name).read_bytes(), name
+
+
 @pytest.fixture(scope="module")
 def scenario(tmp_path_factory) -> Path:
     return make_scenario(tmp_path_factory.mktemp("golden-scenario"))
+
+
+@pytest.fixture(scope="module")
+def tilt_scenario(tmp_path_factory) -> Path:
+    return make_tilt_scenario(tmp_path_factory.mktemp("golden-tilt-scenario"))
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("method", METHODS)
 def test_outputs_match_golden_files(method, seed, scenario, tmp_path):
     build(method, seed, scenario, tmp_path)
-    expected_dir = GOLDEN / f"{method}-seed{seed}"
-    for name in FILES:
-        assert (tmp_path / name).read_bytes() == (expected_dir / name).read_bytes(), name
+    assert_matches(tmp_path, GOLDEN / f"{method}-seed{seed}")
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("method", METHODS)
+def test_tilt_outputs_match_golden_files(method, seed, tilt_scenario, tmp_path):
+    build(method, seed, tilt_scenario, tmp_path, TILT_BUDGET_ARGS)
+    assert_matches(tmp_path, TILT_GOLDEN / f"{method}-seed{seed}")
 
 
 def regenerate() -> None:
     import tempfile
 
+    sets = (
+        (make_scenario, BUDGET_ARGS, GOLDEN),
+        (make_tilt_scenario, TILT_BUDGET_ARGS, TILT_GOLDEN),
+    )
     with tempfile.TemporaryDirectory() as tmp:
-        path = make_scenario(Path(tmp) / "scenario")
-        for method in METHODS:
-            for seed in SEEDS:
-                out_dir = Path(tmp) / f"{method}-seed{seed}"
-                build(method, seed, path, out_dir)
-                target = GOLDEN / out_dir.name
-                target.mkdir(parents=True, exist_ok=True)
-                for name in FILES:
-                    (target / name).write_bytes((out_dir / name).read_bytes())
+        for make, budget_args, golden in sets:
+            work = Path(tmp) / golden.name
+            path = make(work / "scenario")
+            for method in METHODS:
+                for seed in SEEDS:
+                    out_dir = work / f"{method}-seed{seed}"
+                    build(method, seed, path, out_dir, budget_args)
+                    target = golden / out_dir.name
+                    target.mkdir(parents=True, exist_ok=True)
+                    for name in FILES:
+                        (target / name).write_bytes((out_dir / name).read_bytes())
 
 
 if __name__ == "__main__":
