@@ -22,7 +22,7 @@ import os
 import sys
 from pathlib import Path
 
-from .constructors import CONSTRUCTORS, ConstructionResult, plan_budget
+from .constructors import CONSTRUCTORS, ConstructionFailed, ConstructionResult, plan_budget
 from .core import Portfolio
 from .evaluation import (
     compare_reports,
@@ -291,7 +291,7 @@ def run_command(argv=None) -> int:
     )
     try:
         return args.func(args)
-    except (ScenarioError, ValueError, FileNotFoundError) as exc:
+    except (ScenarioError, ValueError, FileNotFoundError, ConstructionFailed) as exc:
         logger.error("%s", exc)
         return 1
 

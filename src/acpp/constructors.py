@@ -237,6 +237,11 @@ def _map_calls(fn: Callable[[int], object], n: int, backend: Backend, cores: int
         return list(pool.map(fn, range(n)))
 
 
+class ConstructionFailed(RuntimeError):
+    """Every repetition of a construction raised an exception that is not
+    one of ``PROGRAMMING_ERRORS``."""
+
+
 def _repetitions(
     one_rep: Callable[[int], tuple],
     plan: BudgetPlan,
@@ -272,7 +277,7 @@ def _repetitions(
         else:
             outputs.append(out)
     if not outputs:
-        raise RuntimeError("every construction repetition failed")
+        raise ConstructionFailed("every construction repetition failed")
     outcome = validate_and_select(
         [out[0] for out in outputs],
         scenario.train_instances,
@@ -317,6 +322,11 @@ def construct_grouped(
         raise ValueError(f"a {plan.method} plan does not read normalization")
     if transfer_forest is not None and len(plan.phase_budgets) == 1:
         raise ValueError("a single-phase plan performs no transfer to use transfer_forest")
+    if scenario.k > len(scenario.train_instances):
+        raise ValueError(
+            f"cannot split {len(scenario.train_instances)} training instances "
+            f"into k={scenario.k} subsets"
+        )
     cores = _check_cores(cores)
     events: list[dict] = []
     if plan.method == "clustering":

@@ -144,6 +144,8 @@ def permutation_test(
     sides gives the identical p-value under the same seed. A difference
     that is not finite raises ``ValueError``.
     """
+    if not 0 < alpha < 1:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     a = np.asarray(scores_a, dtype=float)
     b = np.asarray(scores_b, dtype=float)
     if a.shape != b.shape or a.ndim != 1:
@@ -165,6 +167,8 @@ def compare_reports(
     cutoff, each instance listed once. Each outcome equals
     ``permutation_test`` on that score kind with the same seed; the three
     share one draw of the sign flips."""
+    if not 0 < alpha < 1:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     ids = [r.instance_id for r in report_a.per_instance]
     for report in (report_a, report_b):
         listed = Counter(r.instance_id for r in report.per_instance)

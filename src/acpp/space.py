@@ -336,13 +336,13 @@ class _WordBlock:
 
     CPython's ``random.Random`` (3.10 to 3.13) draws ``randrange(n)`` and
     ``randint`` by attempts of ``getrandbits(k)``, k = ``n.bit_length()``,
-    until one is below n. ``getrandbits(k)`` reads ceil(k / 32) words, least
-    significant first, and keeps the top bits of the last one; so does
-    ``getrandbits(32 * w)``, which reads the block. ``random()`` reads two
-    words a, b as ((a >> 5) * 2**26 + (b >> 6)) / 2**53, and ``uniform(lo,
-    hi)`` is lo + (hi - lo) * random(). Positions run from 0 to ``size``;
-    ``none`` (``size + 1``) marks a draw that ran past the block, and every
-    table maps it to itself.
+    until one is below n; for n below 2**32 an attempt is the top k bits of
+    one word. ``getrandbits(32 * w)``, which reads the block, returns w
+    words least significant first. ``random()`` reads two words a, b as
+    ((a >> 5) * 2**26 + (b >> 6)) / 2**53, and ``uniform(lo, hi)`` is
+    lo + (hi - lo) * random(). Positions run from 0 to ``size``; ``none``
+    (``size + 1``) marks a draw that ran past the block, and every table
+    maps it to itself.
     """
 
     def __init__(self, words: np.ndarray):
@@ -353,54 +353,20 @@ class _WordBlock:
         self._below: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def below(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """For ``randrange(n)`` from each position: the position after it,
-        and its value (below 2**32) or, for wider n, its accepted attempt's
-        position."""
+        """For ``randrange(n)``, n < 2**32, from each position: the position
+        after it and its value."""
         tables = self._below.get(n)
         if tables is None:
-            tables = self._below[n] = self._attempts(n)
+            top = self.words >> (32 - n.bit_length())
+            # the first accepted attempt at or after each position
+            here = np.where(top < n, np.arange(self.size), self.none)
+            accepted = np.full(self.size + 2, self.none)
+            accepted[: self.size] = np.minimum.accumulate(here[::-1])[::-1]
+            tables = self._below[n] = (
+                np.minimum(accepted + 1, self.none),
+                np.append(top, (0, 0))[accepted],
+            )
         return tables
-
-    def _attempts(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        k = n.bit_length()
-        per_attempt = (k + 31) // 32
-        words, size, none = self.words, self.size, self.none
-        if per_attempt == 1:
-            top = words >> (32 - k)
-            ok = top < n
-        else:
-            # compare each attempt with n limb by limb, most significant first
-            starts = max(size - per_attempt + 1, 0)
-            less, tie = np.zeros(starts, bool), np.ones(starts, bool)
-            for j in reversed(range(per_attempt)):
-                limb = words[j : j + starts]
-                if j == per_attempt - 1:
-                    limb = limb >> (32 * per_attempt - k)
-                bound = (n >> (32 * j)) & 0xFFFFFFFF
-                less |= tie & (limb < bound)
-                tie &= limb == bound
-            ok = np.zeros(size, bool)
-            ok[:starts] = less
-        # the first accepted attempt at or after each position, attempts
-        # stepping by per_attempt words
-        accepted = np.full(size + 2, none)
-        here = np.where(ok, np.arange(size), none)
-        for r in range(per_attempt):
-            accepted[r:size:per_attempt] = np.minimum.accumulate(
-                here[r::per_attempt][::-1]
-            )[::-1]
-        end = np.minimum(accepted + per_attempt, none)
-        if per_attempt == 1:
-            return end, np.append(top, (0, 0))[accepted]
-        return end, accepted
-
-    def value(self, at: int, n: int) -> int:
-        """The ``getrandbits(n.bit_length())`` attempt at word ``at``."""
-        k = n.bit_length()
-        per_attempt = (k + 31) // 32
-        limbs = self.words[at : at + per_attempt].tolist()
-        limbs[-1] >>= 32 * per_attempt - k
-        return sum(limb << (32 * j) for j, limb in enumerate(limbs))
 
 
 def _read_words(rng: Random, n: int) -> np.ndarray:
@@ -420,9 +386,11 @@ class SamplingPlan:
     configurations.
 
     ``draw`` is the single-draw path and the reference. ``draw_many``
-    decodes a whole pool from one block of generator words: it returns the
-    tuples that ``draw`` would return one after another and leaves the
-    generator in the same state, without a Python loop per candidate.
+    returns the tuples that ``draw`` would return one after another and
+    leaves the generator in the same state. Where every ``randrange`` bound
+    is below 2**32, it decodes the whole pool from one block of generator
+    words, without a Python loop per candidate; any other plan, and a pool
+    with a value out of its domain, goes through ``draw``.
     """
 
     def __init__(self, space: ParameterSpace):
@@ -449,8 +417,9 @@ class SamplingPlan:
         of the parent's codes that activate it, the last entry for an
         inactive parent), the bound of its ``randrange`` (0 for a rule that
         reads ``uniform``), whether it is categorical and whether a condition
-        reads its code. Also the expected words per candidate, which sizes
-        the first block."""
+        reads its code; ``None`` for an empty plan or one with a bound of
+        2**32 or more, which ``draw_many`` leaves to ``draw``. Also the
+        expected words per candidate, which sizes the first block."""
         parents = {parent for conds, _, _ in self._slots for parent, _ in conds}
         rules, active_share = [], []
         self._words_per_draw = 0.0
@@ -471,12 +440,12 @@ class SamplingPlan:
             else:
                 bound = 0
             if bound:
-                k = bound.bit_length()
-                self._words_per_draw += share * ((k + 31) // 32) * 2**k / bound
+                self._words_per_draw += share * 2**bound.bit_length() / bound
             else:
                 self._words_per_draw += share * 2
             rules.append((tuple(tables), bound, rule == _CHOICE, i in parents))
-        self._word_rules = tuple(rules)
+        decodable = rules and all(bound < 2**32 for _, bound, _, _ in rules)
+        self._word_rules = tuple(rules) if decodable else None
         self._choice_values = tuple(
             np.array(args[0] + (None,), dtype=object) if rule == _CHOICE else None
             for _, rule, args in self._slots
@@ -522,20 +491,20 @@ class SamplingPlan:
         return tuple(values)
 
     def draw_many(self, rng: Random, m: int) -> list[tuple]:
-        """``[self.draw(rng) for _ in range(m)]``, decoded from one block of
-        the generator's words, and ``rng`` left in the same state.
+        """``[self.draw(rng) for _ in range(m)]``, and ``rng`` left in the
+        same state.
 
-        The block is decoded from every start word at once (``_walk``), the
-        candidates are the chain of starts from word 0, and the generator is
-        then rewound and advanced by the words the chain used. A block that
-        runs out is doubled and decoded again.
+        A plan without word rules (see ``_compile_word_rules``) and m < 1 go
+        through ``draw``. Otherwise the pool is decoded from one block of the
+        generator's words: the block is decoded from every start word at once
+        (``_walk``), the candidates are the chain of starts from word 0, and
+        the generator is then rewound and advanced by the words the chain
+        used. A block that runs out is doubled and decoded again.
         """
         if type(rng) is not Random:
             raise TypeError(f"draw_many needs a random.Random, not {type(rng).__name__}")
-        if not self._slots:
-            return [()] * m
-        if m < 1:
-            return []
+        if m < 1 or self._word_rules is None:
+            return [self.draw(rng) for _ in range(m)]
         state = rng.getstate()
         words = _read_words(rng, int(1.25 * m * self._words_per_draw) + 32)
         while True:
@@ -551,13 +520,12 @@ class SamplingPlan:
             if used <= block.size:
                 break
             words = np.concatenate((words, _read_words(rng, block.size)))
-        values, bad = self._decode(block, starts)
+        values = self._decode(block, starts)
         rng.setstate(state)
-        if bad is not None:
-            # the value make_config rejects is the one draw computes, so
-            # draw raises its error, with rng where the scalar draws leave it
-            rng.getrandbits(32 * int(starts[bad]))
-            self.draw(rng)
+        if values is None:
+            # the draws raise make_config's error for the first value out of
+            # its domain, and leave rng where the scalar draws leave it
+            return [self.draw(rng) for _ in range(m)]
         rng.getrandbits(32 * used)
         return values
 
@@ -566,9 +534,8 @@ class SamplingPlan:
 
         With ``record``, appends per slot its active mask (``None`` when
         unconditional) and what decodes its value: the code for a
-        ``randrange`` below 2**32 (a categorical's is its bound where
-        inactive), else the position of the accepted attempt or of the
-        ``uniform`` draw.
+        ``randrange`` (a categorical's is its bound where inactive), else
+        the position of the ``uniform`` draw.
         """
         codes: list[np.ndarray | None] = []
         for conds, bound, is_choice, is_parent in self._word_rules:
@@ -595,13 +562,12 @@ class SamplingPlan:
             pos = end
         return pos
 
-    def _decode(self, block: _WordBlock, starts: np.ndarray) -> tuple[list[tuple], int | None]:
-        """The candidates drawn from ``starts``, and the index of the first
-        one with a value out of its domain (``None`` when all are in)."""
+    def _decode(self, block: _WordBlock, starts: np.ndarray) -> list[tuple] | None:
+        """The candidates drawn from ``starts``, or ``None`` when a real
+        value among them lies out of its domain."""
         record: list = []
         self._walk(block, starts, record)
         words = block.words
-        bad = np.zeros(len(starts), bool)
         columns = []
         for i, ((_, rule, args), (active, got)) in enumerate(zip(self._slots, record)):
             if rule == _CHOICE:
@@ -610,12 +576,7 @@ class SamplingPlan:
             if active is not None:
                 got = got[active]
             if rule == _UNIFORM_INT:
-                lower, upper = args
-                n = upper - lower + 1
-                if n < 2**32:
-                    column = [lower + code for code in got.tolist()]
-                else:
-                    column = [lower + block.value(at, n) for at in got.tolist()]
+                column = [args[0] + code for code in got.tolist()]
             else:
                 r = ((words[got] >> 5) * 67108864.0 + (words[got + 1] >> 6)) * (
                     1.0 / 9007199254740992.0
@@ -632,19 +593,15 @@ class SamplingPlan:
                     if rule == _LOG_REAL:
                         u = np.array([math.exp(x) for x in u.tolist()])
                         lower, upper = self.params[i].lower, self.params[i].upper
-                    out = ~((lower <= u) & (u <= upper))
-                    if active is None:
-                        bad |= out
-                    else:
-                        bad[active] |= out
+                    if not ((lower <= u) & (u <= upper)).all():
+                        return None
                     column = u.tolist()
             if active is not None:
                 placed = np.full(len(starts), None, dtype=object)
                 placed[active] = column
                 column = placed.tolist()
             columns.append(column)
-        first_bad = int(np.argmax(bad)) if bad.any() else None
-        return list(zip(*columns)), first_bad
+        return list(zip(*columns))
 
     def assignments(self, values: Sequence[Any]) -> dict[str, Any]:
         """The active assignments of a value tuple, for ``make_config``."""

@@ -58,6 +58,15 @@ class SyntheticScenarioSpec:
     tilt_effect: float = 0.0
     tilt_ideal: tuple[float, ...] = ()
 
+    def __post_init__(self) -> None:
+        if not 0 < self.cutoff < math.inf:
+            raise ValueError(f"cutoff must be positive and finite, got {self.cutoff}")
+        for name in ("noise", "per_run_jitter"):
+            if not 0 <= getattr(self, name) < 1:
+                raise ValueError(f"{name} must lie in [0, 1), got {getattr(self, name)}")
+        if not 0 <= self.tilt_effect < math.inf:
+            raise ValueError(f"tilt_effect must be >= 0 and finite, got {self.tilt_effect}")
+
     def family_of(self, instance_id: str) -> int:
         return self.instance_family[instance_id]
 
@@ -180,7 +189,11 @@ def generate_synthetic_scenario(
         raise ValueError("families, configs and instances must all be >= 1")
     if feature_dim < 2:
         raise ValueError("feature_dim must be >= 2")
+    if not 0 < cutoff < math.inf:
+        raise ValueError(f"cutoff must be positive and finite, got {cutoff}")
     k = n_families if k is None else k
+    if k > n_train:
+        raise ValueError(f"cannot split {n_train} training instances into k={k} subsets")
     rng = np.random.default_rng(seed)
     values = tuple(f"s{i:02d}" for i in range(n_configs))
 

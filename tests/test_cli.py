@@ -6,7 +6,7 @@ import pytest
 
 from acpp.cli import parse_duration, read_portfolio, run_command
 from acpp.scenario import ScenarioError, load_scenario
-from acpp.synthetic import generate_synthetic_scenario, write_scenario_files
+from acpp.synthetic import SyntheticBackend, generate_synthetic_scenario, write_scenario_files
 
 
 class TestParseDuration:
@@ -76,6 +76,21 @@ class TestSynthGen:
         backend = bundle.make_backend()
         assert backend.label == "synthetic"
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [(["--noise", "1.5"], "noise must lie in [0, 1), got 1.5"),
+         (["--noise", "nan"], "noise must lie in [0, 1), got nan"),
+         (["--cutoff", "nan"], "cutoff must be positive and finite, got nan"),
+         (["--cutoff", "inf"], "cutoff must be positive and finite, got inf"),
+         (["--instances", "6", "--k", "8"], "cannot split 6 training instances into k=8")],
+    )
+    def test_invalid_parameters_exit_one(self, tmp_path, caplog, flags, message):
+        args = ["synth-gen", "--families", "3", "--configs", "5", "--instances", "12",
+                "--out-dir", str(tmp_path / "scen"), *flags]
+        assert run_command(args) == 1
+        assert message in caplog.text
+        assert not (tmp_path / "scen").exists()
+
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "NaN"])
     def test_non_finite_feature_rejected(self, tmp_path, bad):
         run_command(
@@ -141,6 +156,24 @@ class TestPipeline:
         ) == 0
         out = capsys.readouterr().out
         assert "par10" in out and "p=" in out
+
+    def test_failed_construction_exits_one(self, scenario_dir, tmp_path, caplog, monkeypatch):
+        def broken(self, config, instance, cutoff, seed):
+            raise RuntimeError("no solver here")
+
+        monkeypatch.setattr(SyntheticBackend, "run", broken)
+        argv = ["construct", "--method", "pcrs", "--scenario", str(scenario_dir / "scenario.json"),
+                "--cores", "1", "--out-dir", str(tmp_path)]
+        assert run_command(argv) == 1
+        assert "every construction repetition failed" in caplog.text
+        assert not (tmp_path / "portfolio.json").exists()
+
+        def faulty(self, config, instance, cutoff, seed):
+            raise TypeError("faulty backend code")
+
+        monkeypatch.setattr(SyntheticBackend, "run", faulty)
+        with pytest.raises(TypeError, match="faulty backend code"):
+            run_command(argv)
 
     def test_missing_scenario_is_error_exit(self, tmp_path):
         assert run_command(

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import logging
 import math
@@ -470,6 +471,18 @@ class TestPlanMethodChecks:
             construct_grouped(
                 syn.scenario, plan, 0, syn.backend(), settings=FAST, normalization="sideways"
             )
+
+    @pytest.mark.parametrize("method", ["pcit", "pcrs", "clustering"])
+    def test_k_above_training_set_rejected_before_any_run(self, method):
+        syn = tiny_synthetic(train=6)
+        scenario = dataclasses.replace(syn.scenario, k=7)
+        plan = plan_budget(method, 7, 300.0, 100.0, 2, n=2)
+        backend = syn.backend()
+        runs = []
+        backend.run = lambda *args: runs.append(args)
+        with pytest.raises(ValueError, match="cannot split 6 training instances into k=7"):
+            construct_grouped(scenario, plan, 0, backend, settings=FAST)
+        assert not runs
 
     @pytest.mark.parametrize(
         "method, n", [("pcrs", 4), ("clustering", 4), ("pcit", 1)]

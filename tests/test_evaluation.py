@@ -447,6 +447,19 @@ class TestReports:
         assert run_command(argv) == 1
         assert "score differences must be finite" in caplog.text
 
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 5.0, -0.05, float("nan")])
+    def test_alpha_outside_unit_interval_rejected(self, space, tmp_path, caplog, alpha):
+        a = self._report(space)
+        with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\)"):
+            permutation_test([1.0, 2.0], [2.0, 1.0], n_permutations=10, alpha=alpha)
+        with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\)"):
+            compare_reports(a, a, n_permutations=10, alpha=alpha)
+        write_report(a, tmp_path / "a.json")
+        argv = ["compare", "--reports", str(tmp_path / "a.json"), str(tmp_path / "a.json"),
+                "--alpha", str(alpha)]
+        assert run_command(argv) == 1
+        assert "alpha must lie in (0, 1)" in caplog.text
+
     # the set check passed, and the repeated pair was counted twice
     def test_compare_rejects_repeated_instances(self, space):
         a = self._report(space)

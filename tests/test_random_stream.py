@@ -1,6 +1,14 @@
 """The facts about CPython's ``random.Random`` that ``SamplingPlan.draw_many``
 decodes its pools by, checked against the generator itself.
 
+``draw_many`` relies on three of them: a ``randrange``/``randint`` attempt
+for a bound below 2**32 is the top bits of one word, ``random()`` is built
+from two words, and rewinding with ``setstate`` then skipping words
+restores the stream. Bounds of 2**32 or more, which take several words per
+attempt, and pools holding a value the space rejects go through the scalar
+``draw`` instead; the wider bounds stay in ``BOUNDS`` so that a change in
+how ``randrange`` reads them still shows here.
+
 Standard library only, so it runs on interpreters without numpy or pytest:
 ``python tests/test_random_stream.py``.
 """

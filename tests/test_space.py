@@ -29,6 +29,7 @@ from acpp.space import (
     serialize_config,
     serialize_space,
 )
+from acpp.synthetic import strategy_space
 
 SIMPLE = """\
 # a tiny space
@@ -39,6 +40,14 @@ strategy categorical {fast, careful, hybrid} [fast]
 [conditions]
 alpha | strategy in {careful, hybrid}
 """
+
+
+# the spaces the benchmark draws its proposal pools from
+POOL_SPACES = (
+    strategy_space(6, with_tilt=True),
+    compose_product_space(strategy_space(6, with_tilt=True), 2),
+    compose_product_space(strategy_space(6, with_tilt=True), 3),
+)
 
 
 @pytest.fixture
@@ -307,9 +316,13 @@ class TestSamplingPlan:
         for row, (_, config) in zip(rows, drawn):
             assert np.array_equal(row, reference_encode_config(space, config))
             assert np.array_equal(row, encode_config(space, config))
-        for m in (1, 7, 128, 1000):
+        pools = [(plan, m) for m in (1, 7, 128, 1000)]
+        pools += [(pool.sampling_plan, m) for pool in POOL_SPACES for m in (128, 1000)]
+        for pool_plan, m in pools:
             many_rng, scalar_rng = Random(seed + m), Random(seed + m)
-            assert plan.draw_many(many_rng, m) == [plan.draw(scalar_rng) for _ in range(m)]
+            assert pool_plan.draw_many(many_rng, m) == [
+                pool_plan.draw(scalar_rng) for _ in range(m)
+            ]
             assert many_rng.getstate() == scalar_rng.getstate()
 
     def test_plan_covers_every_draw_rule(self):

@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -78,6 +79,32 @@ class TestGenerator:
             make_config(space, {"strategy": "s00", "tilt": min(1.0, ideal + 0.4)}), ins.id
         )
         assert off_ideal > at_ideal
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("noise", 1.5), ("noise", 1.0), ("noise", -0.1), ("noise", math.nan),
+         ("per_run_jitter", 1.0), ("per_run_jitter", math.nan),
+         ("tilt_effect", -0.3), ("tilt_effect", math.nan), ("tilt_effect", math.inf),
+         ("cutoff", 0.0), ("cutoff", math.nan), ("cutoff", math.inf)],
+    )
+    def test_invalid_spec_rejected(self, field, value):
+        syn = generate_synthetic_scenario(n_families=2, n_configs=4, n_train=10, seed=2)
+        doc = json.loads(syn.spec.to_json())
+        doc[field] = value
+        # a hand-edited synthetic.json is checked on loading
+        with pytest.raises(ValueError, match=field):
+            SyntheticScenarioSpec.from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [({"cutoff": math.nan}, "cutoff must be positive and finite"),
+         ({"cutoff": math.inf}, "cutoff must be positive and finite"),
+         ({"noise": 1.5}, "noise must lie in"),
+         ({"k": 11}, "cannot split 10 training instances into k=11")],
+    )
+    def test_invalid_generator_arguments_rejected(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            generate_synthetic_scenario(n_families=2, n_configs=4, n_train=10, seed=2, **kwargs)
 
     def test_true_cost_matches_backend(self):
         syn = generate_synthetic_scenario(n_families=2, n_configs=5, n_train=12, seed=7)
