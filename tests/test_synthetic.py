@@ -99,7 +99,6 @@ class TestGenerator:
         "kwargs, message",
         [({"cutoff": math.nan}, "cutoff must be positive and finite"),
          ({"cutoff": math.inf}, "cutoff must be positive and finite"),
-         ({"noise": 1.5}, "noise must lie in"),
          ({"k": 11}, "cannot split 10 training instances into k=11")],
     )
     def test_invalid_generator_arguments_rejected(self, kwargs, message):
