@@ -4,8 +4,8 @@ The engine interleaves one random challenger with one model-greedy
 challenger (picked from a pool of random candidates scored by the forest;
 the pool's value tuples are decoded from one block of generator words by
 ``SamplingPlan.draw_many``, with the candidates and generator state of one
-``draw`` per candidate, then encoded straight into one matrix, and only
-its argmin becomes a ``Configuration``),
+``draw`` per candidate, and only the best-scored one becomes a
+``Configuration``),
 races each challenger against the incumbent on a growing, seeded-shuffle
 instance schedule with early elimination, and caps challenger runs at a
 multiple of the incumbent's time on the same instance. A challenger is
@@ -37,13 +37,12 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import Instance, Metric, RunRecord, penalized_score
-from .perfmodel import ForestParams, PerformanceModel, fit_forest
+from .perfmodel import ForestParams, PerformanceModel, fit_forest, log_target, row_kinds
 from .space import (
     Configuration,
     ParameterSpace,
     default_config,
     encode_config,
-    encoding_kinds,
     make_config,
     sample_config,
 )
@@ -122,7 +121,6 @@ def configure(
     rng.shuffle(order)
     penalty = metric.penalty
     features = {ins.id: np.asarray(ins.features, dtype=float) for ins in instances}
-    feature_dim = len(order[0].features)
     by_id = {ins.id: ins for ins in order}
 
     consumed = 0.0
@@ -133,7 +131,6 @@ def configure(
     refit: tuple[int, int] | None = None  # (row count, seed) of the latest refit
     model: PerformanceModel | None = None  # grown from ``refit`` when first needed
     use_model_next = False
-    column_kinds = encoding_kinds(space) + ("num",) * feature_dim
     plan = space.sampling_plan
     enc_cache: dict[str, np.ndarray] = {}
 
@@ -151,7 +148,7 @@ def configure(
         runs_done += 1
         own_rows.append(np.concatenate([encode_params(config), features[instance.id]]))
         score = penalized_score(record.status, record.runtime, cutoff, penalty)
-        own_targets.append(math.log10(max(min(score, penalty * cutoff), 1e-3)))
+        own_targets.append(log_target(score, cutoff, penalty))
         return record
 
     def score_of(record: RunRecord) -> float:
@@ -189,21 +186,15 @@ def configure(
             model = fit_forest(
                 np.vstack(own_rows[:n_rows]),
                 np.array(own_targets[:n_rows]),
-                column_kinds,
+                row_kinds(space, len(order[0].features)),
                 settings.forest,
                 seed=fit_seed,
             )
         candidates = list(pool)
         sample = rng.sample(order, min(len(order), settings.score_instance_sample))
-        cand_block = plan.encode(candidates)
-        feat_block = np.vstack([features[ins.id] for ins in sample])
-        rows = np.hstack(
-            [
-                np.repeat(cand_block, len(sample), axis=0),
-                np.tile(feat_block, (len(candidates), 1)),
-            ]
+        predictions = model.predict_pairs(
+            plan.encode(candidates), np.vstack([features[ins.id] for ins in sample])
         )
-        predictions = model.predict_transformed(rows).reshape(len(candidates), len(sample))
         best = candidates[int(np.argmin(predictions.mean(axis=1)))]
         return make_config(space, plan.assignments(best))
 

@@ -171,6 +171,8 @@ class Scenario:
                     f"instance {ins.id!r} has {len(ins.features)} features, "
                     f"expected {self.feature_dimension}"
                 )
+            if not all(map(math.isfinite, ins.features)):
+                raise ValueError(f"instance {ins.id!r} has non-finite feature values")
 
     @property
     def effective_test_cutoff(self) -> float:

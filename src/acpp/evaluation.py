@@ -11,6 +11,7 @@ memory does not grow with the permutation count.
 from __future__ import annotations
 
 import json
+import math
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -18,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Instance, Portfolio, RunStatus, derive_seed, par_score, penalized_score
+from .core import Instance, Portfolio, RunStatus, derive_seed, penalized_score
 from .runner import Backend, evaluate_portfolio
 
 
@@ -84,7 +85,6 @@ def test_portfolio(
         raise ValueError("repetitions must be odd")
     components = portfolio.components if isinstance(portfolio, Portfolio) else tuple(portfolio)
     per_instance: list[InstanceTestResult] = []
-    medians = []
     for instance in test_instances:
         outcomes = [
             evaluate_portfolio(
@@ -97,7 +97,6 @@ def test_portfolio(
             key=lambda r: (penalized_score(r.status, r.runtime, cutoff, 10), r.runtime),
         )
         median = ordered[repetitions // 2]
-        medians.append(median)
         per_instance.append(
             InstanceTestResult(
                 instance_id=instance.id,
@@ -107,18 +106,28 @@ def test_portfolio(
                 repetition_statuses=tuple(r.status.value for r in outcomes),
             )
         )
-    timeouts = sum(1 for r in per_instance if r.timed_out)
-    crashed = sum(1 for r in per_instance if r.status is RunStatus.CRASHED)
     return TestReport(
         label=label,
         cutoff=cutoff,
         repetitions=repetitions,
         per_instance=tuple(per_instance),
-        timeouts=timeouts,
-        crashed=crashed,
-        par10=par_score(medians, cutoff, 10),
-        par1=par_score(medians, cutoff, 1),
+        **_summary(per_instance, cutoff),
     )
+
+
+def _summary(per_instance: Sequence[InstanceTestResult], cutoff: float) -> dict:
+    """A report's summary fields, from its per-instance results."""
+    if not per_instance:
+        raise ValueError("no instances")
+    scores = {
+        p: [penalized_score(r.status, r.runtime, cutoff, p) for r in per_instance] for p in (10, 1)
+    }
+    return {
+        "timeouts": sum(1 for r in per_instance if r.timed_out),
+        "crashed": sum(1 for r in per_instance if r.status is RunStatus.CRASHED),
+        "par10": math.fsum(scores[10]) / len(per_instance),
+        "par1": math.fsum(scores[1]) / len(per_instance),
+    }
 
 
 @dataclass(frozen=True)
@@ -328,6 +337,8 @@ def report_to_dict(report: TestReport) -> dict:
 
 
 def report_from_dict(doc: dict) -> TestReport:
+    """The report a ``report_to_dict`` document holds; ``ValueError`` when
+    its stored summary disagrees with its per-instance rows."""
     per_instance = tuple(
         InstanceTestResult(
             instance_id=entry["instance_id"],
@@ -338,15 +349,19 @@ def report_from_dict(doc: dict) -> TestReport:
         )
         for entry in doc["per_instance"]
     )
+    summary = _summary(per_instance, doc["cutoff"])
+    for name, value in {"n_instances": len(per_instance), **summary}.items():
+        stored = doc["summary"][name]
+        # a NaN runtime gives a NaN mean, which ``compare_reports`` rejects
+        both_nan = math.isnan(stored) and math.isnan(value)
+        if not (both_nan or math.isclose(stored, value, rel_tol=1e-9)):
+            raise ValueError(f"report summary {name} is {stored}, its rows give {value}")
     return TestReport(
         label=doc.get("label", "portfolio"),
         cutoff=doc["cutoff"],
         repetitions=doc["repetitions"],
         per_instance=per_instance,
-        timeouts=doc["summary"]["timeouts"],
-        crashed=doc["summary"]["crashed"],
-        par10=doc["summary"]["par10"],
-        par1=doc["summary"]["par1"],
+        **summary,
     )
 
 

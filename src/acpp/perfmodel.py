@@ -1,11 +1,15 @@
 """Random-forest model of penalized runtime over (configuration, instance)
-pairs.
+pairs. This module owns the model's rows and targets.
 
-Rows are ``encode_config`` vectors (normalized parameters, categorical
-choice codes, sentinel for inactive) with instance features appended; targets
-are log10 of the penalty-capped score, since runtime distributions are
-heavy-tailed. Categorical columns split on value subsets when few distinct
-values are present and on a by-target-mean ordering otherwise.
+A row is a configuration's ``encode_config`` vector (normalized parameters,
+categorical choice codes, sentinel for inactive) with instance features
+appended, its column kinds given by ``row_kinds``; ``log_target`` is log10
+of the penalty-capped score, since runtime distributions are heavy-tailed.
+``PerformanceModel.predict_pairs`` predicts every configuration x instance
+pair; how a run's score is censored is up to each caller. A fitted model is
+one node table holding every tree, each grown on a bootstrap sample.
+Categorical columns split on value subsets when few distinct values are
+present and on a by-target-mean ordering otherwise.
 
 Training rows are put into a canonical order and per-tree seeds are derived
 from the master seed, so fitting is invariant to record order and to any
@@ -23,7 +27,6 @@ per-node numpy implementation grows.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -36,6 +39,7 @@ from .rundata import RunDataStore
 from .space import SENTINEL, ParameterSpace, encode_config, encoding_kinds
 
 LOG_FLOOR = 1e-3  # scores are clamped here before the log transform
+MAX_EXHAUSTIVE_CATEGORIES = 8  # more present categories split along their mean order
 
 _MASK32 = 0xFFFFFFFF
 
@@ -162,62 +166,47 @@ class _ColumnDraw:
 class ForestParams:
     n_trees: int = 40
     min_leaf: int = 3
-    bootstrap: bool = True
-    max_exhaustive_categories: int = 8
 
     def __post_init__(self) -> None:
         if self.n_trees < 1 or self.min_leaf < 1:
             raise ValueError("n_trees and min_leaf must be >= 1")
 
-    def n_split_features(self, n_columns: int) -> int:
-        return max(1, math.ceil(n_columns / 3))
+
+def row_kinds(space: ParameterSpace, feature_dim: int) -> tuple[str, ...]:
+    """Column kinds ('num' or 'cat') of a model row: the encoding's, then the features'."""
+    return encoding_kinds(space) + ("num",) * feature_dim
 
 
-@dataclass
-class _Tree:
-    # column index per node, -1 for leaves
-    feature: np.ndarray
-    threshold: np.ndarray          # numeric split threshold (unused for cat nodes)
-    categorical: np.ndarray        # per node: does it split on a category subset
-    left_codes: np.ndarray         # (n_nodes, n_codes) bool: code (value - SENTINEL) goes left
-    children: np.ndarray           # (n_nodes, 2) indices
-    value: np.ndarray              # leaf means (training-target means)
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        return _Forest([self]).predict(X)[0]
+def log_target(score: float, cutoff: float, penalty: int) -> float:
+    """log10 of a penalized score, capped at the full-scale penalty, floored at ``LOG_FLOOR``."""
+    return math.log10(max(min(score, penalty * cutoff), LOG_FLOOR))
 
 
-class _Forest:
-    """Trees stacked into one node table, for predicting with all of them at
-    once. The tables are flat, so a step down is a few 1-d takes."""
+@dataclass(frozen=True, eq=False)
+class PerformanceModel:
+    """A forest of regression trees stacked into one node table. Tree t's
+    nodes run from ``roots[t]`` to the next root, in the order they were
+    grown. The tables are flat, so a step down is a few 1-d takes."""
 
-    def __init__(self, trees: Sequence[_Tree]):
-        sizes = [len(tree.feature) for tree in trees]
-        self.roots = np.cumsum([0] + sizes[:-1])
-        self.feature = np.concatenate([tree.feature for tree in trees])
-        self.threshold = np.concatenate([tree.threshold for tree in trees])
-        self.categorical = np.concatenate([tree.categorical for tree in trees])
-        self.value = np.concatenate([tree.value for tree in trees])
-        # node i's children are at 2i (left) and 2i + 1 (right)
-        self.children = np.concatenate(
-            [tree.children + root for tree, root in zip(trees, self.roots)]
-        ).ravel()
-        # one more code than any tree knows: a value that is no category code
-        # of the training data is in no left subset
-        self.n_codes = max(tree.left_codes.shape[1] for tree in trees) + 1
-        left_codes = np.zeros((len(self.feature), self.n_codes), dtype=bool)
-        for tree, root in zip(trees, self.roots):
-            left_codes[root : root + len(tree.feature), : tree.left_codes.shape[1]] = (
-                tree.left_codes
-            )
-        self.left_codes = left_codes.ravel()
+    roots: np.ndarray        # first node of each tree
+    feature: np.ndarray      # column index per node, -1 for leaves
+    threshold: np.ndarray    # numeric split threshold (unused for cat nodes)
+    categorical: np.ndarray  # per node: does it split on a category subset
+    left_codes: np.ndarray   # flat (n_nodes, n_codes) bool: code (value - SENTINEL) goes left
+    n_codes: int
+    children: np.ndarray     # node i's children are at 2i (left) and 2i + 1 (right)
+    value: np.ndarray        # per node: mean training target of its samples
+    n_columns: int
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
+    def predict_trees(self, X: np.ndarray) -> np.ndarray:
         """Leaf value of every row in every tree, shape (n_trees, len(X)).
 
         All (tree, row) pairs descend together, one level per step; a pair
         that reaches a leaf is dropped from the next step."""
+        X = np.atleast_2d(np.asarray(X, dtype=float))
         n, d = X.shape
+        if d != self.n_columns:
+            raise ValueError(f"expected {self.n_columns} columns, got {d}")
         code = X - SENTINEL
         known = (code >= 0) & (code < self.n_codes - 1) & (code == np.floor(code))
         codes = np.where(known, code, self.n_codes - 1).astype(np.intp).ravel()
@@ -243,29 +232,21 @@ class _Forest:
             col = self.feature[node]
         return out.reshape(len(self.roots), n)
 
-
-@dataclass
-class PerformanceModel:
-    """An ensemble of regression trees over configuration/instance encodings."""
-
-    trees: list[_Tree]
-    column_kinds: tuple[str, ...]
-
-    @functools.cached_property
-    def _forest(self) -> _Forest:
-        return _Forest(self.trees)
-
     def predict_transformed(self, X: np.ndarray) -> np.ndarray:
         """Mean over trees in log10 space."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        if X.shape[1] != len(self.column_kinds):
-            raise ValueError(
-                f"expected {len(self.column_kinds)} columns, got {X.shape[1]}"
-            )
-        acc = np.zeros(len(X))
-        for per_tree in self._forest.predict(X):
-            acc += per_tree
-        return acc / len(self.trees)
+        per_tree = self.predict_trees(X)
+        acc = np.zeros(per_tree.shape[1])
+        for leaf_values in per_tree:
+            acc += leaf_values
+        return acc / len(self.roots)
+
+    def predict_pairs(self, configs: np.ndarray, features: np.ndarray) -> np.ndarray:
+        """Predictions for each configuration encoding in ``configs`` (rows)
+        on each instance feature vector in ``features`` (columns), from one
+        ``predict_transformed`` call."""
+        n, m = len(configs), len(features)
+        rows = np.hstack([np.repeat(configs, m, axis=0), np.tile(features, (n, 1))])
+        return self.predict_transformed(rows).reshape(n, m)
 
 
 def fit_model(
@@ -301,9 +282,8 @@ def fit_model(
         # penalize against the run's own cutoff so a timeout under a racing
         # cap is imputed near the cap instead of at the full-scale penalty
         score = penalized_score(rec.status, rec.runtime, rec.cutoff, penalty)
-        y[i] = math.log10(max(min(score, penalty * cutoff), LOG_FLOOR))
-    column_kinds = encoding_kinds(space) + ("num",) * feature_dim
-    return fit_forest(rows, y, column_kinds, params, seed)
+        y[i] = log_target(score, cutoff, penalty)
+    return fit_forest(rows, y, row_kinds(space, feature_dim), params, seed)
 
 
 def fit_forest(
@@ -313,23 +293,43 @@ def fit_forest(
     params: ForestParams,
     seed: int,
 ) -> PerformanceModel:
+    """Grow ``params.n_trees`` trees, each on a bootstrap sample drawn by
+    its own generator, seeded from ``seed``, and stack them."""
     if not np.isfinite(X).all():
         raise ValueError("training rows must be finite")
-    seed_seq = np.random.SeedSequence(seed)
-    tree_seeds = seed_seq.spawn(params.n_trees)
     cat_cols = np.array([kind == "cat" for kind in column_kinds])
     cat_values = X[:, cat_cols]
     if np.any(cat_values != np.floor(cat_values)) or np.any(cat_values < SENTINEL):
         raise ValueError("categorical columns must hold choice codes or SENTINEL")
     trees = []
-    for tree_seed in tree_seeds:
+    for tree_seed in np.random.SeedSequence(seed).spawn(params.n_trees):
         rng = np.random.default_rng(tree_seed)
-        if params.bootstrap:
-            idx = rng.integers(0, len(y), size=len(y))
-        else:
-            idx = np.arange(len(y))
+        idx = rng.integers(0, len(y), size=len(y))
         trees.append(_grow_tree(X, y, idx, cat_cols, params, rng))
-    return PerformanceModel(trees=trees, column_kinds=tuple(column_kinds))
+    return _stack(trees, len(column_kinds))
+
+
+def _stack(trees: Sequence[tuple], n_columns: int) -> PerformanceModel:
+    """One node table of the trees ``_grow_tree`` returned, in their order."""
+    feature, threshold, categorical, code_tables, children, value = zip(*trees)
+    roots = np.cumsum([0] + [len(nodes) for nodes in feature[:-1]])
+    # one more code than any tree knows: a value that is no category code
+    # of the training data is in no left subset
+    n_codes = max(table.shape[1] for table in code_tables) + 1
+    left_codes = np.concatenate(
+        [np.pad(table, ((0, 0), (0, n_codes - table.shape[1]))) for table in code_tables]
+    )
+    return PerformanceModel(
+        roots=roots,
+        feature=np.concatenate(feature),
+        threshold=np.concatenate(threshold),
+        categorical=np.concatenate(categorical),
+        left_codes=left_codes.ravel(),
+        n_codes=n_codes,
+        children=np.concatenate([pairs + root for pairs, root in zip(children, roots)]).ravel(),
+        value=np.concatenate(value),
+        n_columns=n_columns,
+    )
 
 
 def _grow_tree(
@@ -339,8 +339,11 @@ def _grow_tree(
     cat_cols: np.ndarray,
     params: ForestParams,
     rng: np.random.Generator,
-) -> _Tree:
-    """Grow one regression tree on the sample rows ``idx`` (in draw order).
+) -> tuple[np.ndarray, ...]:
+    """Grow one regression tree on the sample rows ``idx`` (in draw order),
+    as its node arrays: feature, threshold, categorical, left-code table
+    (n_nodes, n_codes), children (n_nodes, 2) and value, with node indices
+    local to the tree.
 
     Nodes are grown depth first, left child first, on Python lists, and
     every node large enough to split draws its candidate columns as one
@@ -354,7 +357,7 @@ def _grow_tree(
     Xs = np.asarray(X[idx], dtype=float).T
     Xs[cat_cols] -= SENTINEL
     n_codes = int(Xs[cat_cols].max(initial=0)) + 1
-    n_try = min(n_cols, params.n_split_features(n_cols))
+    n_try = math.ceil(n_cols / 3)  # columns drawn per split
     draw = _ColumnDraw(rng, n_cols, n_try)
     min_leaf = params.min_leaf
     ys_, xs_, codes_ = y[idx].tolist(), Xs.tolist(), Xs.astype(np.intp).tolist()
@@ -382,7 +385,7 @@ def _grow_tree(
         for col in draw.sample():
             if cat_cols[col]:
                 codes = list(map(codes_[col].__getitem__, samples))
-                result = _best_categorical_split(codes, targets, n_codes, params)
+                result = _best_categorical_split(codes, targets, n_codes, min_leaf)
                 if result is not None and result[0] < best_sse:
                     best_sse = result[0]
                     best = (col, 0.0, result[1])
@@ -420,13 +423,9 @@ def _grow_tree(
     code_table = np.zeros((len(feature), n_codes), dtype=bool)
     if categorical.any():
         code_table[categorical] = [cats for cats in left_codes if cats is not None]
-    return _Tree(
-        feature=np.array(feature),
-        threshold=np.array(threshold),
-        categorical=categorical,
-        left_codes=code_table,
-        children=np.array(children),
-        value=np.array(value),
+    return (
+        np.array(feature), np.array(threshold), categorical, code_table,
+        np.array(children), np.array(value),
     )
 
 
@@ -485,12 +484,10 @@ def _best_numeric_split(xs: list[float], ys: list[float], min_leaf: int):
     return best_sse, (xs[best - 1] + xs[best]) / 2.0
 
 
-def _best_categorical_split(
-    codes: list[int], targets: list[float], n_codes: int, params: ForestParams
-):
+def _best_categorical_split(codes: list[int], targets: list[float], n_codes: int, min_leaf: int):
     """Best subset of the categories present, as (sse, left flag per code).
 
-    Up to ``max_exhaustive_categories`` present categories every proper
+    Up to ``MAX_EXHAUSTIVE_CATEGORIES`` present categories every proper
     subset holding the lowest one is scored; the first minimum in bitmask
     order wins. Above that, categories are ordered by target mean (stably)
     and split along that ordering; the first minimum wins.
@@ -509,11 +506,10 @@ def _best_categorical_split(
         return None
     total_n = float(len(codes))
     total_sum, total_sq = 0.0 + _pairwise_sum(targets), 0.0 + _pairwise_sum(squares)
-    min_leaf = params.min_leaf
     best_sse = math.inf
     best = None
     left = np.zeros(n_codes, dtype=bool)
-    if m > params.max_exhaustive_categories:
+    if m > MAX_EXHAUSTIVE_CATEGORIES:
         order = sorted(present, key=lambda c: sums[c] / counts[c])
         n_l = list(itertools.accumulate(counts[c] for c in order))
         s_l = list(itertools.accumulate(sums[c] for c in order))

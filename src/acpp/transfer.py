@@ -109,20 +109,14 @@ def transfer_instances(
         store, space, features, cutoff, penalty,
         params=forest or ForestParams(), seed=seed,
     )
-    incumbent_rows = [encode_config(space, inc) for inc in incumbents]
-
     # predictions depend only on (incumbent, instance), both fixed for the
     # whole call, so one batch covers every examination and re-examination
     candidate_list = sorted(candidates)
-    rows = np.vstack(
-        [
-            np.concatenate([enc, np.asarray(features[ins], dtype=float)])
-            for ins in candidate_list
-            for enc in incumbent_rows
-        ]
+    table = model.predict_pairs(
+        np.vstack([encode_config(space, inc) for inc in incumbents]),
+        np.array([features[ins] for ins in candidate_list], dtype=float),
     )
-    table = model.predict_transformed(rows).reshape(len(candidate_list), len(incumbents))
-    prediction_of = {ins: table[i] for i, ins in enumerate(candidate_list)}
+    prediction_of = dict(zip(candidate_list, table.T))
 
     subsets = [list(s) for s in grouping.subsets]
     membership = {ins: j for j, subset in enumerate(subsets) for ins in subset}

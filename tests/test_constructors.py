@@ -270,6 +270,35 @@ class TestGroupedConstructors:
         }
         assert len(result.transfer_reports[result.selected_index]) == 3
 
+    def test_pcit_warm_starts_each_phase_from_the_last(self, monkeypatch):
+        syn = tiny_synthetic(seed=7)
+        plan = plan_budget("pcit", 2, 600.0, 200.0, 1, n=3)
+        calls = []  # (seed, starting incumbent, returned incumbent) per configure call
+        configure_subset = constructors.configure
+
+        def recording(*args, initial_incumbent=None, **kwargs):
+            incumbent = configure_subset(*args, initial_incumbent=initial_incumbent, **kwargs)
+            calls.append((args[6], initial_incumbent, incumbent))
+            return incumbent
+
+        monkeypatch.setattr(constructors, "configure", recording)
+        construct_pcit(
+            syn.scenario, plan, 3, syn.backend(), settings=FAST, transfer_forest=SMALL_TRANSFER,
+            cores=1,
+        )
+        rep_seed = derive_seed(3, "rep", 0)
+        order = [(phase, j) for phase in (1, 2, 3) for j in (0, 1)]
+        assert [seed for seed, _, _ in calls] == [
+            derive_seed(rep_seed, "configure", phase, j) for phase, j in order
+        ]
+        returned = {}
+        for (phase, j), (_, start, incumbent) in zip(order, calls):
+            if phase == 1:
+                assert start is None
+            else:
+                assert start is returned[phase - 1, j]
+            returned[phase, j] = incumbent
+
     def test_budget_within_plan_plus_slack(self):
         syn = tiny_synthetic(seed=8)
         sc = syn.scenario

@@ -261,3 +261,25 @@ class TestScenarioCutoffs:
     def test_test_cutoff_defaults_to_cutoff(self):
         assert self.scenario().effective_test_cutoff == 60.0
         assert self.scenario(test_cutoff=120.0).effective_test_cutoff == 120.0
+
+
+class TestScenarioFeatures:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("split", ["train", "test"])
+    def test_non_finite_feature_rejected(self, bad, split):
+        instances = {
+            "train": (Instance("i0", (0.5, 1.0)), Instance("i1", (0.25, 2.0))),
+            "test": (Instance("t0", (0.0, 3.0)),),
+        }
+        bad_id = instances[split][-1].id
+        instances[split] = instances[split][:-1] + (Instance(bad_id, (bad, 1.0)),)
+        with pytest.raises(ValueError, match=f"instance {bad_id!r} has non-finite"):
+            Scenario(
+                name="s",
+                space=parse_space("s categorical {a, b} [a]\n"),
+                train_instances=instances["train"],
+                test_instances=instances["test"],
+                cutoff=60.0,
+                k=1,
+                feature_dimension=2,
+            )

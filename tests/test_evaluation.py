@@ -1,4 +1,6 @@
 import dataclasses
+import json
+import math
 import os
 import subprocess
 import sys
@@ -438,7 +440,9 @@ class TestReports:
     def test_compare_rejects_non_finite_scores(self, space, tmp_path, caplog):
         a = self._report(space)
         first = dataclasses.replace(a.per_instance[0], runtime=float("nan"))
-        b = dataclasses.replace(a, label="b", per_instance=(first, *a.per_instance[1:]))
+        b = dataclasses.replace(
+            a, label="b", per_instance=(first, *a.per_instance[1:]), par10=math.nan, par1=math.nan
+        )
         with pytest.raises(ValueError, match="must be finite"):
             compare_reports(a, b, n_permutations=10)
         write_report(a, tmp_path / "a.json")
@@ -459,6 +463,30 @@ class TestReports:
                 "--alpha", str(alpha)]
         assert run_command(argv) == 1
         assert "alpha must lie in (0, 1)" in caplog.text
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("n_instances", 4), ("timeouts", 1), ("crashed", 1), ("par10", 0.5), ("par1", 2.5),
+         ("par10", math.nan)],
+    )
+    def test_summary_must_match_rows(self, space, tmp_path, caplog, field, value):
+        a = self._report(space)
+        write_report(a, tmp_path / "a.json")
+        doc = json.loads((tmp_path / "a.json").read_text())
+        assert doc["summary"][field] != value
+        doc["summary"][field] = value
+        (tmp_path / "b.json").write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=f"report summary {field} is {value}"):
+            read_report(tmp_path / "b.json")
+        argv = ["compare", "--reports", str(tmp_path / "a.json"), str(tmp_path / "b.json")]
+        assert run_command(argv) == 1
+        assert f"report summary {field} is {value}" in caplog.text
+
+    def test_summary_within_rounding_accepted(self, space):
+        report = self._report(space)
+        doc = report_to_dict(report)
+        doc["summary"]["par10"] *= 1 + 1e-12
+        assert report_from_dict(doc) == report
 
     # the set check passed, and the repeated pair was counted twice
     def test_compare_rejects_repeated_instances(self, space):

@@ -9,10 +9,12 @@ from acpp import perfmodel
 from acpp.core import RunRecord, RunStatus
 from acpp.perfmodel import (
     ForestParams,
+    MAX_EXHAUSTIVE_CATEGORIES,
     _best_categorical_split,
     _ColumnDraw,
     _grow_tree,
     _pairwise_sum,
+    _stack,
     fit_forest,
     fit_model,
 )
@@ -150,12 +152,54 @@ class TestModelProperties:
 # trees, predictions and random-number consumption.
 
 
-def left_values(tree, node: int) -> frozenset[float] | None:
-    """Category values a fitted tree's categorical node sends left, None
-    for a numeric node or a leaf."""
-    if not tree.categorical[node]:
-        return None
-    return frozenset(float(c) + SENTINEL for c in np.flatnonzero(tree.left_codes[node]))
+@dataclass
+class TableTree:
+    """One tree read out of a model's node table, node indices local to it."""
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    children: np.ndarray           # (n_nodes, 2)
+    value: np.ndarray
+    left_values: list[frozenset | None]  # category values sent left, None off cat nodes
+
+
+def table_trees(model) -> list[TableTree]:
+    ends = list(model.roots[1:]) + [len(model.feature)]
+    left_codes = model.left_codes.reshape(len(model.feature), model.n_codes)
+    trees = []
+    for root, end in zip(model.roots, ends):
+        trees.append(
+            TableTree(
+                feature=model.feature[root:end],
+                threshold=model.threshold[root:end],
+                children=model.children[2 * root : 2 * end].reshape(-1, 2) - root,
+                value=model.value[root:end],
+                left_values=[
+                    frozenset(float(c) + SENTINEL for c in np.flatnonzero(left_codes[i]))
+                    if model.categorical[i]
+                    else None
+                    for i in range(root, end)
+                ],
+            )
+        )
+    return trees
+
+
+def assert_same_trees(model, reference, Q):
+    """Every tree of ``model`` equals its reference tree, node for node, and
+    predicts ``Q`` as it does; the model's mean is the mean of those
+    predictions in tree order."""
+    per_tree = model.predict_trees(Q)
+    acc = np.zeros(len(Q))
+    for tree, predicted, ref in zip(table_trees(model), per_tree, reference, strict=True):
+        assert np.array_equal(tree.feature, ref.feature)
+        assert np.array_equal(tree.threshold, ref.threshold)
+        assert np.array_equal(tree.children, ref.children)
+        assert np.array_equal(tree.value, ref.value, equal_nan=True)
+        assert tree.left_values == ref.left_values
+        assert np.array_equal(predicted, ref.predict(Q))
+        acc += predicted
+    assert np.array_equal(model.predict_transformed(Q), acc / len(reference))
 
 
 @dataclass
@@ -248,7 +292,7 @@ def ref_best_split(
     rng: np.random.Generator,
 ):
     n_cols = X.shape[1]
-    n_try = min(n_cols, params.n_split_features(n_cols))
+    n_try = min(n_cols, max(1, math.ceil(n_cols / 3)))
     candidates = rng.choice(n_cols, size=n_try, replace=False)
     best = None
     best_sse = math.inf
@@ -256,7 +300,7 @@ def ref_best_split(
         values = X[rows, col]
         targets = y[rows]
         if cat_cols[col]:
-            result = ref_best_categorical_split(values, targets, params)
+            result = ref_best_categorical_split(values, targets, params.min_leaf)
             if result is not None and result[0] < best_sse:
                 best_sse = result[0]
                 best = (int(col), 0.0, result[1], np.isin(values, list(result[1])))
@@ -297,7 +341,7 @@ def ref_best_numeric_split(values: np.ndarray, targets: np.ndarray, min_leaf: in
     return float(sse[best]), float((xs[p - 1] + xs[p]) / 2.0)
 
 
-def ref_best_categorical_split(values: np.ndarray, targets: np.ndarray, params: ForestParams):
+def ref_best_categorical_split(values: np.ndarray, targets: np.ndarray, min_leaf: int):
     cats, inverse = np.unique(values, return_inverse=True)
     m = len(cats)
     if m < 2:
@@ -306,10 +350,9 @@ def ref_best_categorical_split(values: np.ndarray, targets: np.ndarray, params: 
     sums = np.bincount(inverse, weights=targets)
     sqs = np.bincount(inverse, weights=targets * targets)
     total_n, total_sum, total_sq = float(len(values)), float(targets.sum()), float((targets * targets).sum())
-    min_leaf = params.min_leaf
     best_sse = math.inf
     best_left: frozenset | None = None
-    if m <= params.max_exhaustive_categories:
+    if m <= MAX_EXHAUSTIVE_CATEGORIES:
         # canonical proper subsets: category 0 always on the left
         for mask in range(1, 1 << m, 2):
             if mask == (1 << m) - 1:
@@ -346,17 +389,32 @@ def ref_best_categorical_split(values: np.ndarray, targets: np.ndarray, params: 
     return best_sse, best_left
 
 
-def reference_forest(X, y, column_kinds, params, seed):
+def reference_forest(X, y, column_kinds, params, seed, bootstrap=True):
+    """The reference trees of ``fit_forest``, or with ``bootstrap=False``
+    of trees that each grow on every row once, in row order."""
     cat_cols = np.array([kind == "cat" for kind in column_kinds])
     trees = []
     for tree_seed in np.random.SeedSequence(seed).spawn(params.n_trees):
         rng = np.random.default_rng(tree_seed)
-        if params.bootstrap:
+        if bootstrap:
             idx = rng.integers(0, len(y), size=len(y))
         else:
             idx = np.arange(len(y))
         trees.append(ref_grow_tree(X, y, idx, cat_cols, params, rng))
     return trees
+
+
+def grown_forest(X, y, column_kinds, params, seed, bootstrap=True):
+    """``fit_forest``, or with ``bootstrap=False`` the same generators growing
+    each tree with ``_grow_tree`` on every row once, stacked by ``_stack``."""
+    if bootstrap:
+        return fit_forest(X, y, column_kinds, params, seed)
+    cat_cols = np.array([kind == "cat" for kind in column_kinds])
+    trees = [
+        _grow_tree(X, y, np.arange(len(y)), cat_cols, params, np.random.default_rng(tree_seed))
+        for tree_seed in np.random.SeedSequence(seed).spawn(params.n_trees)
+    ]
+    return _stack(trees, len(column_kinds))
 
 
 def random_forest_data(seed, constant_target=False, n_rows=None):
@@ -406,42 +464,29 @@ def query_rows(X, column_kinds, seed):
 
 
 class TestForestExactness:
+    # bootstrap=False grows every tree on all rows once, through _grow_tree
+    # and _stack, as fit_forest would without resampling
     @pytest.mark.parametrize("min_leaf", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("bootstrap", [True, False])
     @pytest.mark.parametrize("data_seed", [0, 1, 2, 3])
     def test_trees_and_predictions_match_reference(self, min_leaf, bootstrap, data_seed):
         X, y, column_kinds = random_forest_data(10 * min_leaf + data_seed)
-        params = ForestParams(n_trees=3, min_leaf=min_leaf, bootstrap=bootstrap)
+        params = ForestParams(n_trees=3, min_leaf=min_leaf)
         seed = 7 * data_seed + min_leaf
-        model = fit_forest(X, y, column_kinds, params, seed)
-        reference = reference_forest(X, y, column_kinds, params, seed)
-        for tree, ref in zip(model.trees, reference, strict=True):
-            assert np.array_equal(tree.feature, ref.feature)
-            assert np.array_equal(tree.threshold, ref.threshold)
-            assert np.array_equal(tree.children, ref.children)
-            assert np.array_equal(tree.value, ref.value)
-            assert [left_values(tree, i) for i in range(len(tree.feature))] == ref.left_values
-        Q = query_rows(X, column_kinds, seed)
-        acc = np.zeros(len(Q))
-        for tree, ref in zip(model.trees, reference):
-            predicted = tree.predict(Q)
-            assert np.array_equal(predicted, ref.predict(Q))
-            acc += predicted
-        assert np.array_equal(model.predict_transformed(Q), acc / len(reference))
+        model = grown_forest(X, y, column_kinds, params, seed, bootstrap)
+        reference = reference_forest(X, y, column_kinds, params, seed, bootstrap)
+        assert_same_trees(model, reference, query_rows(X, column_kinds, seed))
 
     @pytest.mark.parametrize("min_leaf", [1, 3])
     def test_constant_target_gives_single_leaf(self, min_leaf):
         X, y, column_kinds = random_forest_data(5, constant_target=True)
         params = ForestParams(n_trees=2, min_leaf=min_leaf)
         model = fit_forest(X, y, column_kinds, params, 3)
-        for tree, ref in zip(model.trees, reference_forest(X, y, column_kinds, params, 3)):
-            assert np.array_equal(tree.feature, ref.feature) and len(tree.feature) == 1
-            assert np.array_equal(tree.value, ref.value)
-            assert np.array_equal(tree.predict(X), ref.predict(X))
+        assert len(model.feature) == params.n_trees
+        assert_same_trees(model, reference_forest(X, y, column_kinds, params, 3), X)
 
     def test_categorical_split_scores_match_reference(self):
         rng = np.random.default_rng(4)
-        params = ForestParams(min_leaf=1)
         nodes = []
         for _ in range(500):
             n = int(rng.integers(4, 40))
@@ -468,9 +513,9 @@ class TestForestExactness:
         for t in rng.normal(size=5000):
             nodes.append((np.array([SENTINEL, 0.0, 0.0]), np.array([t, 1.0, 2.0]), 2))
         for values, targets, levels in nodes:
-            expected = ref_best_categorical_split(values, targets, params)
+            expected = ref_best_categorical_split(values, targets, min_leaf=1)
             codes = (values - SENTINEL).astype(np.intp)
-            got = _best_categorical_split(codes.tolist(), targets.tolist(), levels, params)
+            got = _best_categorical_split(codes.tolist(), targets.tolist(), levels, min_leaf=1)
             if expected is None:
                 assert got is None
                 continue
@@ -505,25 +550,18 @@ class TestForestExactness:
         scored = []  # (samples, levels present) of every categorical node scored
         score = perfmodel._best_categorical_split
 
-        def recording_score(codes, targets, n_codes, params):
+        def recording_score(codes, targets, n_codes, min_leaf):
             scored.append((len(codes), len(set(codes))))
-            return score(codes, targets, n_codes, params)
+            return score(codes, targets, n_codes, min_leaf)
 
         monkeypatch.setattr(perfmodel, "_best_categorical_split", recording_score)
         for data_seed in (0, 1):
             X, y, column_kinds = random_forest_data(data_seed, n_rows=n_rows)
-            params = ForestParams(n_trees=3, min_leaf=min_leaf, bootstrap=bootstrap)
+            params = ForestParams(n_trees=3, min_leaf=min_leaf)
             seed = n_rows + data_seed
-            model = fit_forest(X, y, column_kinds, params, seed)
-            reference = reference_forest(X, y, column_kinds, params, seed)
-            Q = query_rows(X, column_kinds, seed)
-            for tree, ref in zip(model.trees, reference, strict=True):
-                assert np.array_equal(tree.feature, ref.feature)
-                assert np.array_equal(tree.threshold, ref.threshold)
-                assert np.array_equal(tree.children, ref.children)
-                assert np.array_equal(tree.value, ref.value, equal_nan=True)
-                assert [left_values(tree, i) for i in range(len(tree.feature))] == ref.left_values
-                assert np.array_equal(tree.predict(Q), ref.predict(Q))
+            model = grown_forest(X, y, column_kinds, params, seed, bootstrap)
+            reference = reference_forest(X, y, column_kinds, params, seed, bootstrap)
+            assert_same_trees(model, reference, query_rows(X, column_kinds, seed))
             cat_cols = np.array([kind == "cat" for kind in column_kinds])
             rng_fast, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
             idx = np.random.default_rng(seed + 1).integers(0, n_rows, size=n_rows)
@@ -547,16 +585,9 @@ class TestForestExactness:
         y = rng.normal(size=n_rows)
         params = ForestParams(n_trees=2, min_leaf=2)
         model = fit_forest(X, y, column_kinds, params, n_cols)
+        assert all(len(tree.feature) > 1 for tree in table_trees(model))
         reference = reference_forest(X, y, column_kinds, params, n_cols)
-        Q = query_rows(X, column_kinds, n_cols)
-        for tree, ref in zip(model.trees, reference, strict=True):
-            assert len(tree.feature) > 1
-            assert np.array_equal(tree.feature, ref.feature)
-            assert np.array_equal(tree.threshold, ref.threshold)
-            assert np.array_equal(tree.children, ref.children)
-            assert np.array_equal(tree.value, ref.value)
-            assert [left_values(tree, i) for i in range(len(tree.feature))] == ref.left_values
-            assert np.array_equal(tree.predict(Q), ref.predict(Q))
+        assert_same_trees(model, reference, query_rows(X, column_kinds, n_cols))
         cat_cols = np.array([kind == "cat" for kind in column_kinds])
         rng_fast, rng_ref = np.random.default_rng(n_cols), np.random.default_rng(n_cols)
         idx = np.arange(n_rows)
