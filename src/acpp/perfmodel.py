@@ -316,9 +316,9 @@ def _stack(trees: Sequence[tuple], n_columns: int) -> PerformanceModel:
     # one more code than any tree knows: a value that is no category code
     # of the training data is in no left subset
     n_codes = max(table.shape[1] for table in code_tables) + 1
-    left_codes = np.concatenate(
-        [np.pad(table, ((0, 0), (0, n_codes - table.shape[1]))) for table in code_tables]
-    )
+    left_codes = np.zeros((sum(map(len, feature)), n_codes), dtype=bool)
+    for table, root in zip(code_tables, roots):
+        left_codes[root : root + len(table), : table.shape[1]] = table
     return PerformanceModel(
         roots=roots,
         feature=np.concatenate(feature),
