@@ -193,10 +193,10 @@ class PerformanceModel:
     threshold: np.ndarray    # numeric split threshold (unused for cat nodes)
     categorical: np.ndarray  # per node: does it split on a category subset
     left_codes: np.ndarray   # flat (n_nodes, n_codes) bool: code (value - SENTINEL) goes left
-    n_codes: int
+    n_codes: int             # codes per node in left_codes, the last for unknown values
     children: np.ndarray     # node i's children are at 2i (left) and 2i + 1 (right)
     value: np.ndarray        # per node: mean training target of its samples
-    n_columns: int
+    n_columns: int           # width of a model row
 
     def predict_trees(self, X: np.ndarray) -> np.ndarray:
         """Leaf value of every row in every tree, shape (n_trees, len(X)).
