@@ -203,14 +203,15 @@ def clamp_run(status: RunStatus, runtime: float, cutoff: float) -> tuple[RunStat
 def par_score(records: Iterable, cutoff: float, penalty: int) -> float:
     """Mean penalized runtime over per-instance results (PAR-``penalty``).
 
-    Every record must carry the same cutoff as the one given; timeouts and
-    crashes count as ``penalty * cutoff``.
+    Each record has a status and a runtime; a record that also carries a
+    cutoff must carry the one given. Timeouts and crashes count as
+    ``penalty * cutoff``.
     """
     if penalty < 1:
         raise ValueError("penalty must be >= 1")
     scores = []
     for rec in records:
-        if rec.cutoff != cutoff:
+        if getattr(rec, "cutoff", cutoff) != cutoff:
             raise ValueError(
                 f"record cutoff {rec.cutoff} does not match expected {cutoff}"
             )

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Instance, Portfolio, RunStatus, derive_seed, penalized_score
+from .core import Instance, Portfolio, RunStatus, derive_seed, par_score, penalized_score
 from .runner import Backend, evaluate_portfolio
 
 
@@ -117,16 +117,11 @@ def test_portfolio(
 
 def _summary(per_instance: Sequence[InstanceTestResult], cutoff: float) -> dict:
     """A report's summary fields, from its per-instance results."""
-    if not per_instance:
-        raise ValueError("no instances")
-    scores = {
-        p: [penalized_score(r.status, r.runtime, cutoff, p) for r in per_instance] for p in (10, 1)
-    }
     return {
         "timeouts": sum(1 for r in per_instance if r.timed_out),
         "crashed": sum(1 for r in per_instance if r.status is RunStatus.CRASHED),
-        "par10": math.fsum(scores[10]) / len(per_instance),
-        "par1": math.fsum(scores[1]) / len(per_instance),
+        "par10": par_score(per_instance, cutoff, 10),
+        "par1": par_score(per_instance, cutoff, 1),
     }
 
 
@@ -352,6 +347,8 @@ def report_from_dict(doc: dict) -> TestReport:
     summary = _summary(per_instance, doc["cutoff"])
     for name, value in {"n_instances": len(per_instance), **summary}.items():
         stored = doc["summary"][name]
+        if isinstance(stored, bool) or not isinstance(stored, (int, float)):
+            raise ValueError(f"report summary {name} is {stored!r}, not a number")
         # a NaN runtime gives a NaN mean, which ``compare_reports`` rejects
         both_nan = math.isnan(stored) and math.isnan(value)
         if not (both_nan or math.isclose(stored, value, rel_tol=1e-9)):

@@ -467,7 +467,7 @@ class TestReports:
     @pytest.mark.parametrize(
         "field, value",
         [("n_instances", 4), ("timeouts", 1), ("crashed", 1), ("par10", 0.5), ("par1", 2.5),
-         ("par10", math.nan)],
+         ("par10", math.nan), ("par10", None), ("crashed", True)],
     )
     def test_summary_must_match_rows(self, space, tmp_path, caplog, field, value):
         a = self._report(space)

@@ -185,17 +185,18 @@ def table_trees(model) -> list[TableTree]:
     return trees
 
 
-def assert_same_trees(model, reference, Q):
+def assert_same_trees(model, reference, Q, equal_nan=False):
     """Every tree of ``model`` equals its reference tree, node for node, and
     predicts ``Q`` as it does; the model's mean is the mean of those
-    predictions in tree order."""
+    predictions in tree order. ``equal_nan`` lets a NaN leaf value match a
+    NaN reference leaf."""
     per_tree = model.predict_trees(Q)
     acc = np.zeros(len(Q))
     for tree, predicted, ref in zip(table_trees(model), per_tree, reference, strict=True):
         assert np.array_equal(tree.feature, ref.feature)
         assert np.array_equal(tree.threshold, ref.threshold)
         assert np.array_equal(tree.children, ref.children)
-        assert np.array_equal(tree.value, ref.value, equal_nan=True)
+        assert np.array_equal(tree.value, ref.value, equal_nan=equal_nan)
         assert tree.left_values == ref.left_values
         assert np.array_equal(predicted, ref.predict(Q))
         acc += predicted
@@ -561,7 +562,8 @@ class TestForestExactness:
             seed = n_rows + data_seed
             model = grown_forest(X, y, column_kinds, params, seed, bootstrap)
             reference = reference_forest(X, y, column_kinds, params, seed, bootstrap)
-            assert_same_trees(model, reference, query_rows(X, column_kinds, seed))
+            Q = query_rows(X, column_kinds, seed)
+            assert_same_trees(model, reference, Q, equal_nan=True)
             cat_cols = np.array([kind == "cat" for kind in column_kinds])
             rng_fast, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
             idx = np.random.default_rng(seed + 1).integers(0, n_rows, size=n_rows)
