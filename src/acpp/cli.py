@@ -82,6 +82,8 @@ def write_portfolio(portfolio: Portfolio, path: Path) -> None:
 
 def read_portfolio(path: Path, space: ParameterSpace) -> Portfolio:
     doc = json.loads(path.read_text())
+    if "components" not in doc:
+        raise ValueError(f"{path}: portfolio has no field 'components'")
     components = tuple(parse_config(space, text) for text in doc["components"])
     return Portfolio(
         components=components,

@@ -333,33 +333,36 @@ def report_to_dict(report: TestReport) -> dict:
 
 def report_from_dict(doc: dict) -> TestReport:
     """The report a ``report_to_dict`` document holds; ``ValueError`` when
-    its stored summary disagrees with its per-instance rows."""
-    per_instance = tuple(
-        InstanceTestResult(
-            instance_id=entry["instance_id"],
-            status=RunStatus(entry["status"]),
-            runtime=entry["runtime"],
-            repetition_runtimes=tuple(entry.get("repetition_runtimes", ())),
-            repetition_statuses=tuple(entry.get("repetition_statuses", ())),
+    a field is missing or its stored summary disagrees with its rows."""
+    try:
+        per_instance = tuple(
+            InstanceTestResult(
+                instance_id=entry["instance_id"],
+                status=RunStatus(entry["status"]),
+                runtime=entry["runtime"],
+                repetition_runtimes=tuple(entry.get("repetition_runtimes", ())),
+                repetition_statuses=tuple(entry.get("repetition_statuses", ())),
+            )
+            for entry in doc["per_instance"]
         )
-        for entry in doc["per_instance"]
-    )
-    summary = _summary(per_instance, doc["cutoff"])
-    for name, value in {"n_instances": len(per_instance), **summary}.items():
-        stored = doc["summary"][name]
-        if isinstance(stored, bool) or not isinstance(stored, (int, float)):
-            raise ValueError(f"report summary {name} is {stored!r}, not a number")
-        # a NaN runtime gives a NaN mean, which ``compare_reports`` rejects
-        both_nan = math.isnan(stored) and math.isnan(value)
-        if not (both_nan or math.isclose(stored, value, rel_tol=1e-9)):
-            raise ValueError(f"report summary {name} is {stored}, its rows give {value}")
-    return TestReport(
-        label=doc.get("label", "portfolio"),
-        cutoff=doc["cutoff"],
-        repetitions=doc["repetitions"],
-        per_instance=per_instance,
-        **summary,
-    )
+        summary = _summary(per_instance, doc["cutoff"])
+        for name, value in {"n_instances": len(per_instance), **summary}.items():
+            stored = doc["summary"][name]
+            if isinstance(stored, bool) or not isinstance(stored, (int, float)):
+                raise ValueError(f"report summary {name} is {stored!r}, not a number")
+            # a NaN runtime gives a NaN mean, which ``compare_reports`` rejects
+            both_nan = math.isnan(stored) and math.isnan(value)
+            if not (both_nan or math.isclose(stored, value, rel_tol=1e-9)):
+                raise ValueError(f"report summary {name} is {stored}, its rows give {value}")
+        return TestReport(
+            label=doc.get("label", "portfolio"),
+            cutoff=doc["cutoff"],
+            repetitions=doc["repetitions"],
+            per_instance=per_instance,
+            **summary,
+        )
+    except KeyError as exc:
+        raise ValueError(f"report has no field {exc}") from None
 
 
 def write_report(report: TestReport, path: str | Path) -> None:

@@ -9,14 +9,23 @@ The external wrapper protocol is:
 
 and the wrapper must print a final line ``RESULT: <status>, <runtime>`` with
 status one of SAT, UNSAT, SOLVED, TIMEOUT, CRASHED. A missing or
-unparseable result line yields a CRASHED record.
+unparseable result line yields a CRASHED record at the cutoff.
+
+Every external run is a race on one single-threaded loop: a single run is a
+race of one wrapper, a portfolio a race of one wrapper per component. Each
+wrapper that answers scores its reported result. Wall time only sets when
+the race stops waiting, one grace period after the best reported solve (or
+the cutoff); a wrapper still running then is killed and charged that time,
+so the scores do not depend on which process the OS lets finish first.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import re
+import selectors
 import shlex
 import signal
 import subprocess
@@ -142,11 +151,12 @@ def evaluate_portfolio(
     """Result of running all components on one instance in parallel.
 
     Backends that expose ``run_portfolio`` (the external backend) race real
-    processes with first-success cancellation; otherwise each component is
-    evaluated independently and combined with ``portfolio_runtime``. A
-    backend exception scores that component CRASHED, except
-    ``PROGRAMMING_ERRORS``, which propagate. Component time is charged to
-    the ledger as validation time, one charge per component run in process.
+    processes on their reported clock, and the race is one validation
+    charge. Otherwise each component runs to its end, one validation charge
+    per component: a backend exception scores that component CRASHED at the
+    cutoff, except ``PROGRAMMING_ERRORS``, which propagate. Either way the
+    outcome is ``portfolio_runtime`` over the component outcomes, and
+    ``cpu_cost`` their runtimes added in component order.
     """
     if hasattr(backend, "run_portfolio"):
         result = backend.run_portfolio(components, instance, cutoff, seed)
@@ -154,7 +164,6 @@ def evaluate_portfolio(
             ledger.charge(result.cpu_cost, kind="validation")
         return result
     outcomes = []
-    cpu = 0.0
     for comp in components:
         try:
             status, runtime = backend.run(comp, instance, cutoff, seed)
@@ -164,10 +173,18 @@ def evaluate_portfolio(
             status, runtime = RunStatus.CRASHED, cutoff
         status, runtime = clamp_run(status, runtime, cutoff)
         outcomes.append((status, runtime))
-        cpu += runtime
         if ledger is not None:
             ledger.charge(runtime, kind="validation")
+    return _portfolio_result(instance, outcomes, cutoff)
+
+
+def _portfolio_result(
+    instance: Instance, outcomes: Sequence[tuple[RunStatus, float]], cutoff: float
+) -> InstanceResult:
     outcome = portfolio_runtime(outcomes, cutoff)
+    cpu = 0.0
+    for _, runtime in outcomes:
+        cpu += runtime
     return InstanceResult(
         instance_id=instance.id,
         status=outcome.status,
@@ -180,11 +197,12 @@ def evaluate_portfolio(
 
 @dataclass
 class ExternalBackend:
-    """Runs configurations through an external wrapper process.
+    """Runs configurations through external wrapper processes.
 
     ``wrapper`` is the argv prefix (given as a list or a shell-quoted
-    string). The cutoff is enforced by terminating the wrapper's process
-    group ``GRACE_SECONDS`` after the cutoff elapses.
+    string). ``run`` is a race of one wrapper and ``run_portfolio`` a race
+    of one wrapper per component; both are scored on the wrappers' reported
+    clock (see ``_race``).
     """
 
     wrapper: Sequence[str] | str
@@ -205,25 +223,58 @@ class ExternalBackend:
             self._argv(config, instance, cutoff, seed),
             stdout=subprocess.PIPE,
             stderr=subprocess.DEVNULL,
-            text=True,
             start_new_session=True,
         )
 
-    def _wait(self, proc: subprocess.Popen, cutoff: float, start: float) -> tuple[RunStatus, float]:
-        """The wrapper's result, or TIMEOUT once it has overrun the cutoff
-        by the grace period, at which point its process group is killed."""
+    def _race(
+        self, procs: Sequence[subprocess.Popen | None], cutoff: float, start: float
+    ) -> list[tuple[RunStatus, float]]:
+        """Outcomes of wrappers started at monotonic time ``start`` on one
+        instance; ``None``, a wrapper that could not start, is CRASHED.
+
+        A wrapper scores its result line once it closes its output. At the
+        wall deadline ``start + min(cutoff, best reported solve) + grace``,
+        the wrappers still running are killed and score TIMEOUT, charged
+        that min.
+        """
+        outcomes = [(RunStatus.CRASHED, cutoff)] * len(procs)
+        output = [bytearray() for _ in procs]
+        best = cutoff
         try:
-            stdout, _ = proc.communicate(timeout=cutoff + self.grace)
-        except subprocess.TimeoutExpired:
-            _kill_process_group(proc)
-            return RunStatus.TIMEOUT, cutoff
-        return _parse_result(stdout, cutoff, time.monotonic() - start)
+            with selectors.DefaultSelector() as selector:
+                for j, proc in enumerate(procs):
+                    if proc is not None:
+                        selector.register(proc.stdout, selectors.EVENT_READ, j)
+                while selector.get_map():
+                    remaining = start + best + self.grace - time.monotonic()
+                    if remaining <= 0:
+                        break
+                    for key, _ in selector.select(remaining):
+                        chunk = os.read(key.fd, 65536)
+                        output[key.data] += chunk
+                        if not chunk:
+                            selector.unregister(key.fileobj)
+                            status, runtime = _parse_result(output[key.data], cutoff)
+                            outcomes[key.data] = status, runtime
+                            if status is RunStatus.SOLVED:
+                                best = min(best, runtime)
+                for key in selector.get_map().values():
+                    outcomes[key.data] = (RunStatus.TIMEOUT, best)
+        finally:
+            for proc in procs:
+                if proc is not None:
+                    if proc.poll() is None:  # the wrapper leads its own process group
+                        with contextlib.suppress(ProcessLookupError, PermissionError):
+                            os.killpg(proc.pid, signal.SIGKILL)
+                    proc.stdout.close()
+                    proc.wait()
+        return outcomes
 
     def run(
         self, config: Configuration, instance: Instance, cutoff: float, seed: int
     ) -> tuple[RunStatus, float]:
         start = time.monotonic()
-        return self._wait(self._spawn(config, instance, cutoff, seed), cutoff, start)
+        return self._race([self._spawn(config, instance, cutoff, seed)], cutoff, start)[0]
 
     def run_portfolio(
         self,
@@ -232,82 +283,29 @@ class ExternalBackend:
         cutoff: float,
         seed: int,
     ) -> InstanceResult:
-        """Race one process per component; the rest are terminated when the
-        first one solves the instance. A wrapper that cannot start scores
-        its component CRASHED."""
-        procs: list[subprocess.Popen | None] = [None] * len(components)
-        outcomes: list[tuple[RunStatus, float]] = [(RunStatus.TIMEOUT, cutoff)] * len(components)
-        first_solved = threading.Event()
-        lock = threading.Lock()
-
-        def work(j: int, comp: Configuration) -> None:
-            start = time.monotonic()
+        """Race one wrapper per component; a wrapper that cannot start
+        scores its component CRASHED."""
+        start = time.monotonic()
+        procs: list[subprocess.Popen | None] = []
+        for comp in components:
             try:
-                proc = self._spawn(comp, instance, cutoff, seed)
+                procs.append(self._spawn(comp, instance, cutoff, seed))
             except OSError:
-                outcomes[j] = (RunStatus.CRASHED, cutoff)
-                return
-            with lock:
-                procs[j] = proc
-            try:
-                status, runtime = self._wait(proc, cutoff, start)
-            except (OSError, ValueError):
-                # terminated by the winning component while we were reading
-                outcomes[j] = (RunStatus.TIMEOUT, min(time.monotonic() - start, cutoff))
-                return
-            outcomes[j] = (status, runtime)
-            if status is RunStatus.SOLVED and not first_solved.is_set():
-                first_solved.set()
-                with lock:
-                    for other in procs:
-                        if other is not None and other is not proc and other.poll() is None:
-                            _kill_process_group(other)
-
-        threads = [
-            threading.Thread(target=work, args=(j, comp)) for j, comp in enumerate(components)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        outcome = portfolio_runtime(outcomes, cutoff)
-        cpu = sum(runtime for _, runtime in outcomes)
-        return InstanceResult(
-            instance_id=instance.id,
-            status=outcome.status,
-            runtime=outcome.runtime,
-            cutoff=cutoff,
-            component_index=outcome.winner,
-            cpu_cost=cpu,
-        )
+                procs.append(None)
+        return _portfolio_result(instance, self._race(procs, cutoff, start), cutoff)
 
 
-def _kill_process_group(proc: subprocess.Popen) -> None:
+def _parse_result(output: bytes, cutoff: float) -> tuple[RunStatus, float]:
+    """The outcome of the last result line, bounded by the cutoff; CRASHED
+    at the cutoff when there is no parseable one."""
+    lines = output.decode(errors="replace").splitlines()
+    matches = [m for m in map(_RESULT_RE.match, lines) if m]
+    if not matches:
+        return RunStatus.CRASHED, cutoff
+    word, runtime = matches[-1].group("status", "runtime")
     try:
-        os.killpg(os.getpgid(proc.pid), signal.SIGKILL)
-    except (ProcessLookupError, PermissionError):
-        pass
-    try:
-        proc.communicate(timeout=5)
-    except Exception:
-        pass
-
-
-def _parse_result(stdout: str, cutoff: float, elapsed: float) -> tuple[RunStatus, float]:
-    match = None
-    for line in (stdout or "").splitlines():
-        found = _RESULT_RE.match(line)
-        if found:
-            match = found
-    if match is None:
-        return RunStatus.CRASHED, min(elapsed, cutoff)
-    status_word = match.group("status")
-    try:
-        runtime = float(match.group("runtime"))
+        runtime = max(0.0, float(runtime))
     except ValueError:
-        return RunStatus.CRASHED, min(elapsed, cutoff)
-    if status_word == "CRASHED":
-        return RunStatus.CRASHED, max(0.0, min(runtime, cutoff))
-    if status_word == "TIMEOUT" or runtime > cutoff:
-        return RunStatus.TIMEOUT, cutoff
-    return RunStatus.SOLVED, max(0.0, runtime)
+        return RunStatus.CRASHED, cutoff
+    status = RunStatus[word] if word in ("TIMEOUT", "CRASHED") else RunStatus.SOLVED
+    return clamp_run(status, runtime, cutoff)

@@ -43,8 +43,7 @@ class SyntheticScenarioSpec:
 
     ``cost_table[family][value]`` is the base virtual runtime of strategy
     ``value`` on instances of ``family``; entries at or above the cutoff are
-    timeouts. ``per_run_jitter`` (off by default) adds run-seed-dependent
-    noise for exercising repeated-measurement protocols.
+    timeouts.
     """
 
     instance_family: dict[str, int]
@@ -54,23 +53,21 @@ class SyntheticScenarioSpec:
     cutoff: float
     noise: float = 0.0
     noise_key: str = "0"
-    per_run_jitter: float = 0.0
     tilt_effect: float = 0.0
     tilt_ideal: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
         if not 0 < self.cutoff < math.inf:
             raise ValueError(f"cutoff must be positive and finite, got {self.cutoff}")
-        for name in ("noise", "per_run_jitter"):
-            if not 0 <= getattr(self, name) < 1:
-                raise ValueError(f"{name} must lie in [0, 1), got {getattr(self, name)}")
+        if not 0 <= self.noise < 1:
+            raise ValueError(f"noise must lie in [0, 1), got {self.noise}")
         if not 0 <= self.tilt_effect < math.inf:
             raise ValueError(f"tilt_effect must be >= 0 and finite, got {self.tilt_effect}")
 
     def family_of(self, instance_id: str) -> int:
         return self.instance_family[instance_id]
 
-    def runtime(self, config: Configuration, instance_id: str, seed: int | None = None) -> float:
+    def runtime(self, config: Configuration, instance_id: str) -> float:
         value = config[STRATEGY_PARAM]
         family = self.instance_family[instance_id]
         base = self.cost_table[family][self.values.index(value)]
@@ -81,9 +78,6 @@ class SyntheticScenarioSpec:
         if self.noise > 0:
             u = _hash_unit(config.config_id, instance_id, self.noise_key)
             t *= 1.0 + self.noise * (2.0 * u - 1.0)
-        if self.per_run_jitter > 0 and seed is not None:
-            u = _hash_unit(config.config_id, instance_id, self.noise_key, str(seed))
-            t *= 1.0 + self.per_run_jitter * (2.0 * u - 1.0)
         return t
 
     def true_cost(self, config: Configuration, instance_id: str, penalty: int) -> float:
@@ -101,7 +95,6 @@ class SyntheticScenarioSpec:
                 "cutoff": self.cutoff,
                 "noise": self.noise,
                 "noise_key": self.noise_key,
-                "per_run_jitter": self.per_run_jitter,
                 "tilt_effect": self.tilt_effect,
                 "tilt_ideal": list(self.tilt_ideal),
             },
@@ -112,6 +105,8 @@ class SyntheticScenarioSpec:
     @classmethod
     def from_json(cls, text: str) -> SyntheticScenarioSpec:
         doc = json.loads(text)
+        if doc.get("per_run_jitter", 0) != 0:  # written by older versions
+            raise ValueError(f"per_run_jitter is no longer supported, got {doc['per_run_jitter']}")
         return cls(
             instance_family={k: int(v) for k, v in doc["instance_family"].items()},
             cost_table=tuple(tuple(float(x) for x in row) for row in doc["cost_table"]),
@@ -120,7 +115,6 @@ class SyntheticScenarioSpec:
             cutoff=float(doc["cutoff"]),
             noise=float(doc.get("noise", 0.0)),
             noise_key=str(doc.get("noise_key", "0")),
-            per_run_jitter=float(doc.get("per_run_jitter", 0.0)),
             tilt_effect=float(doc.get("tilt_effect", 0.0)),
             tilt_ideal=tuple(float(x) for x in doc.get("tilt_ideal", ())),
         )
@@ -136,7 +130,7 @@ class SyntheticBackend:
     def run(
         self, config: Configuration, instance: Instance, cutoff: float, seed: int
     ) -> tuple[RunStatus, float]:
-        t = self.spec.runtime(config, instance.id, seed=seed)
+        t = self.spec.runtime(config, instance.id)
         if t >= cutoff:
             return RunStatus.TIMEOUT, cutoff
         return RunStatus.SOLVED, t
@@ -174,7 +168,6 @@ def generate_synthetic_scenario(
     feature_dim: int = 2,
     cutoff: float = 30.0,
     noise: float = 0.03,
-    per_run_jitter: float = 0.0,
     tilt_effect: float = 0.0,
     name: str = "synthetic",
 ) -> SyntheticScenario:
@@ -254,7 +247,6 @@ def generate_synthetic_scenario(
         cutoff=cutoff,
         noise=noise,
         noise_key=str(seed),
-        per_run_jitter=per_run_jitter,
         tilt_effect=tilt_effect,
         tilt_ideal=tuple(float(x) for x in rng.uniform(0.1, 0.9, size=n_families)),
     )

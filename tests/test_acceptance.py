@@ -43,6 +43,7 @@ from acpp.rundata import RunDataStore
 from acpp.space import encode_config, enumerate_configs, make_config
 from acpp.synthetic import generate_synthetic_scenario
 from acpp.transfer import transfer_instances
+from tests.test_evaluation import JitteredBackend
 from tests.test_transfer import random_transfer_inputs
 
 HOURS = 3600.0
@@ -361,10 +362,10 @@ def test_criterion_8_protocol_fidelity():
     with criterion(8, "protocol fidelity"):
         synthetic = generate_synthetic_scenario(
             n_families=2, n_configs=4, n_train=16, k=2, seed=5,
-            cutoff=20.0, per_run_jitter=0.02,
+            cutoff=20.0,
         )
         scenario = synthetic.scenario
-        backend = synthetic.backend()
+        backend = JitteredBackend(synthetic.spec, jitter=0.02)  # repetitions differ
         builds = {
             "pcit": lambda: construct_pcit(
                 scenario, plan_budget("pcit", 2, 600.0, 200.0, 2, n=4),

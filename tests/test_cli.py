@@ -5,8 +5,11 @@ from pathlib import Path
 import pytest
 
 from acpp.cli import parse_duration, read_portfolio, run_command
+from acpp.core import RunStatus
+from acpp.evaluation import write_report
 from acpp.scenario import ScenarioError, load_scenario
 from acpp.synthetic import SyntheticBackend, generate_synthetic_scenario, write_scenario_files
+from tests.test_evaluation import make_report
 
 
 class TestParseDuration:
@@ -224,3 +227,35 @@ class TestPipeline:
              "--out-dir", str(out)]
         ) == 1
         assert not out.exists()
+
+
+class TestDamagedFiles:
+    """A report or portfolio file that lacks a field ends the command with
+    exit 1 and a message naming the field, not with a traceback."""
+
+    @pytest.mark.parametrize("path", ["summary.crashed", "per_instance", "cutoff", "repetitions"])
+    def test_report_missing_field(self, tmp_path, caplog, capsys, path):
+        reports = [tmp_path / "a.json", tmp_path / "b.json"]
+        for report in reports:
+            write_report(make_report("a", [(RunStatus.SOLVED, 2.0)] * 4, 10.0), report)
+        doc = json.loads(reports[1].read_text())
+        *parents, field = path.split(".")
+        owner = doc
+        for key in parents:
+            owner = owner[key]
+        del owner[field]
+        reports[1].write_text(json.dumps(doc))
+        argv = ["compare", "--reports", *map(str, reports), "--permutations", "100"]
+        assert run_command(argv) == 1
+        assert f"report has no field '{field}'" in caplog.text
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_portfolio_missing_components(self, scenario_dir, tmp_path, caplog, capsys):
+        portfolio = tmp_path / "portfolio.json"
+        portfolio.write_text(json.dumps({"k": 2, "method": "pcit"}))
+        argv = ["test", "--portfolio", str(portfolio),
+                "--scenario", str(scenario_dir / "scenario.json"), "--out-dir", str(tmp_path)]
+        assert run_command(argv) == 1
+        assert "portfolio has no field 'components'" in caplog.text
+        assert "Traceback" not in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()

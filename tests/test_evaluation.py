@@ -26,12 +26,26 @@ from acpp.evaluation import (
     write_report,
 )
 from acpp.space import make_config, parse_space
-from acpp.synthetic import SyntheticBackend, SyntheticScenarioSpec
+from acpp.synthetic import SyntheticBackend, SyntheticScenarioSpec, _hash_unit
 
 
 @pytest.fixture
 def space():
     return parse_space("strategy categorical {fast, slow} [fast]\n")
+
+
+@dataclasses.dataclass
+class JitteredBackend(SyntheticBackend):
+    """A planted backend whose runtimes also move with the run seed, by a
+    hash-derived factor in [1 - jitter, 1 + jitter), so that repeated runs
+    of one configuration on one instance differ."""
+
+    jitter: float = 0.0
+
+    def run(self, config, instance, cutoff, seed):
+        u = _hash_unit(config.config_id, instance.id, self.spec.noise_key, str(seed))
+        t = self.spec.runtime(config, instance.id) * (1.0 + self.jitter * (2.0 * u - 1.0))
+        return (RunStatus.TIMEOUT, cutoff) if t >= cutoff else (RunStatus.SOLVED, t)
 
 
 def backend_with(fast=2.0, slow=50.0, cutoff=60.0, jitter=0.0, n=6):
@@ -41,9 +55,8 @@ def backend_with(fast=2.0, slow=50.0, cutoff=60.0, jitter=0.0, n=6):
         values=("fast", "slow"),
         hardness={},
         cutoff=cutoff,
-        per_run_jitter=jitter,
     )
-    return SyntheticBackend(spec)
+    return JitteredBackend(spec, jitter=jitter)
 
 
 class CyclingBackend:
@@ -389,7 +402,7 @@ class TestPermutationTest:
 
 
 class TestReports:
-    def _report(self, space, label="a", jitter=0.0, fast=2.0):
+    def _report(self, space, label="a", fast=2.0):
         backend = backend_with(fast=fast, n=5)
         config = make_config(space, {"strategy": "fast"})
         instances = [Instance(f"i{j}") for j in range(5)]

@@ -225,7 +225,7 @@ class TestExternalBackend:
         config = make_config(space, {"strategy": "fast"})
         status, runtime = backend.run(config, Instance("i1"), 10.0, 0)
         assert status is RunStatus.CRASHED
-        assert runtime <= 10.0
+        assert runtime == 10.0  # no reported time, so the cutoff, not wall time
 
     def test_timeout_reported_as_timeout(self, space, tmp_path):
         wrapper = make_wrapper(tmp_path, "print('RESULT: TIMEOUT, 10.0')\n")
@@ -289,3 +289,58 @@ class TestExternalBackend:
         assert result.component_index == 1
         assert result.runtime == pytest.approx(0.2, abs=0.05)
         assert elapsed < 6.0  # the slow component was terminated early
+
+    def test_portfolio_scored_on_reported_clock(self, tmp_path):
+        # s01 finishes last in wall time but reports the faster solve
+        wrapper = make_wrapper(
+            tmp_path,
+            """\
+            import sys, time
+            if sys.argv[5] == "s01":
+                time.sleep(0.3)
+                print("RESULT: SAT, 0.1")
+            else:
+                print("RESULT: SAT, 5.0")
+            """,
+        )
+        space = parse_space("strategy categorical {s01, s02} [s01]\n")
+        components = [make_config(space, {"strategy": value}) for value in ("s01", "s02")]
+        backend = ExternalBackend(wrapper)
+        ledger = BudgetLedger()
+        result = evaluate_portfolio(backend, components, Instance("i1"), 10.0, 0, ledger=ledger)
+        assert (result.status, result.runtime, result.component_index) == (RunStatus.SOLVED, 0.1, 0)
+        assert result.cpu_cost == ledger.validation_time == 5.1
+
+    def test_killed_wrapper_charged_best_reported_time(self, space, tmp_path):
+        wrapper = make_wrapper(
+            tmp_path,
+            """\
+            import sys, time
+            if sys.argv[5] == "slow":
+                time.sleep(30)
+            print("RESULT: SAT, 0.25")
+            """,
+        )
+        backend = ExternalBackend(wrapper, grace=0.5)
+        components = [make_config(space, {"strategy": value}) for value in ("slow", "fast")]
+        started = time.monotonic()
+        result = evaluate_portfolio(backend, components, Instance("i1"), 8.0, 0)
+        assert time.monotonic() - started < 6.0
+        assert (result.status, result.runtime, result.component_index) == (RunStatus.SOLVED, 0.25, 1)
+        assert result.cpu_cost == 0.5  # the killed wrapper is charged the winner's 0.25
+
+    def test_portfolio_component_that_cannot_start_crashes(self, space, tmp_path):
+        wrapper = make_wrapper(tmp_path, "print('RESULT: SAT, 2.0')\n")
+        backend = ExternalBackend(wrapper)
+        spawn = backend._spawn
+
+        def flaky_spawn(config, instance, cutoff, seed):
+            if config["strategy"] == "slow":
+                raise OSError("cannot start")
+            return spawn(config, instance, cutoff, seed)
+
+        backend._spawn = flaky_spawn
+        components = [make_config(space, {"strategy": value}) for value in ("slow", "fast")]
+        result = backend.run_portfolio(components, Instance("i1"), 8.0, 0)
+        assert (result.status, result.runtime, result.component_index) == (RunStatus.SOLVED, 2.0, 1)
+        assert result.cpu_cost == 10.0  # the crash is charged the cutoff

@@ -95,6 +95,13 @@ class TestGenerator:
         with pytest.raises(ValueError, match=field):
             SyntheticScenarioSpec.from_json(json.dumps(doc))
 
+    def test_older_spec_with_jitter_switched_off_loads(self):
+        syn = generate_synthetic_scenario(n_families=2, n_configs=4, n_train=10, seed=2)
+        doc = json.loads(syn.spec.to_json())
+        assert "per_run_jitter" not in doc
+        doc["per_run_jitter"] = 0.0  # older files carry the key, switched off
+        assert SyntheticScenarioSpec.from_json(json.dumps(doc)) == syn.spec
+
     @pytest.mark.parametrize(
         "kwargs, message",
         [({"cutoff": math.nan}, "cutoff must be positive and finite"),
