@@ -295,8 +295,20 @@ def fit_forest(
 ) -> PerformanceModel:
     """Grow ``params.n_trees`` trees, each on a bootstrap sample drawn by
     its own generator, seeded from ``seed``, and stack them."""
+    X, y = np.asarray(X, dtype=float), np.asarray(y, dtype=float)
+    if X.ndim != 2 or len(X) == 0:
+        raise ValueError("need a non-empty 2-d array of training rows")
+    if y.shape != (len(X),):
+        raise ValueError(f"need one target per row: {len(X)} rows, targets of shape {y.shape}")
+    if len(column_kinds) != X.shape[1]:
+        raise ValueError(f"{len(column_kinds)} column kinds for rows of {X.shape[1]} columns")
+    unknown = set(column_kinds) - {"num", "cat"}
+    if unknown:
+        raise ValueError(f"column kinds must be 'num' or 'cat', not {sorted(unknown)}")
     if not np.isfinite(X).all():
         raise ValueError("training rows must be finite")
+    if not np.isfinite(y).all():
+        raise ValueError("training targets must be finite")
     cat_cols = np.array([kind == "cat" for kind in column_kinds])
     cat_values = X[:, cat_cols]
     if np.any(cat_values != np.floor(cat_values)) or np.any(cat_values < SENTINEL):
@@ -360,7 +372,10 @@ def _grow_tree(
     n_try = math.ceil(n_cols / 3)  # columns drawn per split
     draw = _ColumnDraw(rng, n_cols, n_try)
     min_leaf = params.min_leaf
-    ys_, xs_, codes_ = y[idx].tolist(), Xs.tolist(), Xs.astype(np.intp).tolist()
+    ys_, xs_ = y[idx].tolist(), Xs.tolist()
+    # category codes of the categorical columns only: a numeric value may
+    # lie outside the range of an integer
+    codes_ = [row.astype(np.intp).tolist() if cat else None for row, cat in zip(Xs, cat_cols)]
 
     feature: list[int] = []
     threshold: list[float] = []
@@ -481,7 +496,11 @@ def _best_numeric_split(xs: list[float], ys: list[float], min_leaf: int):
                 best_sse, best = sse, p
     if best is None:
         return None
-    return best_sse, (xs[best - 1] + xs[best]) / 2.0
+    # between adjacent doubles the midpoint can round up to the upper value,
+    # which would send every sample left
+    low, high = xs[best - 1], xs[best]
+    middle = (low + high) / 2.0
+    return best_sse, middle if middle < high else low
 
 
 def _best_categorical_split(codes: list[int], targets: list[float], n_codes: int, min_leaf: int):

@@ -9,6 +9,11 @@ and (2) is predicted to be no worse than the source. Unmoved instances are
 re-examined in the next round; the procedure stops when a round produces no
 move or nothing is left to move.
 
+When every subset has the same incumbent, every subset gets the same
+prediction for every instance, so no model is fitted: the subsets rank in
+index order, which is how equal predictions rank them, and the size bounds
+alone decide each move.
+
 Instances whose incumbent was never run on them are excluded from the whole
 procedure, including the median computation.
 """
@@ -33,7 +38,9 @@ class Move:
     instance_id: str
     source: int
     target: int
-    predicted: tuple[float, ...]  # per-subset predicted cost at decision time
+    # per-subset predicted cost at decision time; None when every subset has
+    # the same incumbent, since then no model is fitted
+    predicted: tuple[float, ...] | None
 
 
 @dataclass(frozen=True)
@@ -105,23 +112,37 @@ def transfer_instances(
             threshold, frozenset(), measured, n_excluded, rounds=0, moves=()
         )
 
-    model = fit_model(
-        store, space, features, cutoff, penalty,
-        params=forest or ForestParams(), seed=seed,
-    )
-    # predictions depend only on (incumbent, instance), both fixed for the
-    # whole call, so one batch covers every examination and re-examination
-    candidate_list = sorted(candidates)
-    table = model.predict_pairs(
-        np.vstack([encode_config(space, inc) for inc in incumbents]),
-        np.array([features[ins] for ins in candidate_list], dtype=float),
-    )
-    prediction_of = dict(zip(candidate_list, table.T))
-
     subsets = [list(s) for s in grouping.subsets]
     membership = {ins: j for j, subset in enumerate(subsets) for ins in subset}
     sizes = [len(s) for s in subsets]
     lower, upper = grouping.lower_bound, grouping.upper_bound
+
+    # an instance keeps its source until it moves, and a moved instance is
+    # not examined again, so each candidate's admissible targets (best
+    # predicted first, none predicted worse than the source) are fixed
+    if len({inc.config_id for inc in incumbents}) > 1:
+        model = fit_model(
+            store, space, features, cutoff, penalty,
+            params=forest or ForestParams(), seed=seed,
+        )
+        # predictions depend only on (incumbent, instance), both fixed for
+        # the whole call, so one batch covers every examination
+        candidate_list = sorted(candidates)
+        table = model.predict_pairs(
+            np.vstack([encode_config(space, inc) for inc in incumbents]),
+            np.array([features[ins] for ins in candidate_list], dtype=float),
+        )
+        prediction_of = {
+            ins: tuple(map(float, column)) for ins, column in zip(candidate_list, table.T)
+        }
+        targets_of = {}
+        for ins, predicted in prediction_of.items():
+            ranking = sorted(range(grouping.k), key=lambda j: (predicted[j], j))
+            source_cost = predicted[membership[ins]]
+            targets_of[ins] = [j for j in ranking if predicted[j] <= source_cost]
+    else:
+        prediction_of = dict.fromkeys(candidates)
+        targets_of = dict.fromkeys(candidates, range(grouping.k))
 
     rng = Random(seed)
     remaining = candidates
@@ -135,23 +156,15 @@ def transfer_instances(
         unmoved: set[str] = set()
         for instance_id in examine:
             source = membership[instance_id]
-            predicted = prediction_of[instance_id]
-            ranking = sorted(range(len(incumbents)), key=lambda j: (predicted[j], j))
-            for target in ranking:
-                if (
-                    predicted[target] <= predicted[source]
-                    and sizes[target] < upper
-                    and sizes[source] > lower
-                ):
+            for target in targets_of[instance_id]:
+                if sizes[target] < upper and sizes[source] > lower:
                     if target != source:
                         subsets[source].remove(instance_id)
                         subsets[target].append(instance_id)
                         sizes[source] -= 1
                         sizes[target] += 1
                         membership[instance_id] = target
-                    moves.append(
-                        Move(instance_id, source, target, tuple(float(p) for p in predicted))
-                    )
+                    moves.append(Move(instance_id, source, target, prediction_of[instance_id]))
                     succeeded.add(instance_id)
                     break
             if instance_id not in succeeded:

@@ -144,7 +144,10 @@ def test_criterion_2_transfer_invariants():
                     assert lower <= after <= upper
             assert report.rounds <= max(1, len(report.candidates))
             for move in report.moves:
-                assert move.predicted[move.target] <= move.predicted[move.source]
+                # no model is fitted, so nothing is predicted, when every
+                # subset has the same incumbent
+                if move.predicted is not None:
+                    assert move.predicted[move.target] <= move.predicted[move.source]
             if case % 5 == 0:  # determinism re-run on a fifth of the cases
                 again, _ = transfer_instances(
                     grouping, incumbents, features, store, space, seed, cutoff, 10, forest=forest

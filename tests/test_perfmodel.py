@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -339,7 +340,8 @@ def ref_best_numeric_split(values: np.ndarray, targets: np.ndarray, min_leaf: in
     sse = ref_split_sse(pos, csum[pos - 1], csq[pos - 1], n, csum[-1], csq[-1])
     best = int(np.argmin(sse))
     p = pos[best]
-    return float(sse[best]), float((xs[p - 1] + xs[p]) / 2.0)
+    middle = (xs[p - 1] + xs[p]) / 2.0
+    return float(sse[best]), float(middle if middle < xs[p] else xs[p - 1])
 
 
 def ref_best_categorical_split(values: np.ndarray, targets: np.ndarray, min_leaf: int):
@@ -608,6 +610,73 @@ class TestForestExactness:
         X = np.array([[0.5, 1.0], [1.0, 2.0]])
         with pytest.raises(ValueError, match="choice codes"):
             fit_forest(X, np.array([1.0, 2.0]), ("cat", "num"), ForestParams(), 0)
+
+    def test_split_between_adjacent_doubles_separates_them(self):
+        # the midpoint of 0.3 and the next double up rounds to the upper
+        # value, and a split there would send every sample left
+        low, high = 0.3, math.nextafter(0.3, 1.0)
+        assert (low + high) / 2.0 == high
+        X = np.array([[low]] * 6 + [[high]] * 6)
+        y = np.array([0.0] * 6 + [1.0] * 6)
+        assert perfmodel._best_numeric_split(X[:, 0].tolist(), y.tolist(), 3) == (0.0, low)
+        params = ForestParams(n_trees=8, min_leaf=3)
+        for bootstrap in (True, False):
+            model = grown_forest(X, y, ("num",), params, 0, bootstrap)
+            assert not np.isnan(model.value).any()
+            assert_same_trees(model, reference_forest(X, y, ("num",), params, 0, bootstrap), X)
+        exact = grown_forest(X, y, ("num",), params, 0, bootstrap=False)
+        assert exact.predict_transformed(np.array([[low], [high]])).tolist() == [0.0, 1.0]
+
+    def test_no_empty_leaf_between_adjacent_doubles(self):
+        # with other columns to draw, a split that sends every sample left
+        # leaves an empty right leaf, whose mean is NaN
+        rng = np.random.default_rng(5)
+        low, high = 0.3, math.nextafter(0.3, 1.0)
+        X = np.column_stack([
+            np.repeat([low, high], 30), rng.normal(size=60), rng.normal(size=60),
+        ])
+        y = np.repeat([0.0, 1.0], 30) + rng.normal(scale=0.01, size=60)
+        model = fit_forest(X, y, ("num", "num", "num"), ForestParams(n_trees=20, min_leaf=3), 0)
+        assert not np.isnan(model.value).any()
+        assert np.isfinite(model.predict_transformed(X)).all()
+
+
+class TestFitForestInputs:
+    def test_non_finite_target_rejected(self):
+        X, y, column_kinds = random_forest_data(2)
+        y[3] = math.nan
+        with pytest.raises(ValueError, match="targets must be finite"):
+            fit_forest(X, y, column_kinds, ForestParams(), 0)
+
+    def test_target_count_must_match_rows(self):
+        X, y, column_kinds = random_forest_data(2, n_rows=30)
+        with pytest.raises(ValueError, match="one target per row"):
+            fit_forest(X, y[:20], column_kinds, ForestParams(), 0)
+
+    def test_zero_rows_rejected(self):
+        with pytest.raises(ValueError, match="non-empty"):
+            fit_forest(np.empty((0, 2)), np.empty(0), ("num", "num"), ForestParams(), 0)
+
+    def test_short_column_kinds_rejected(self):
+        X, y, column_kinds = random_forest_data(2)
+        with pytest.raises(ValueError, match="column kinds"):
+            fit_forest(X, y, column_kinds[:-1], ForestParams(), 0)
+
+    def test_unknown_column_kind_rejected(self):
+        X, y, column_kinds = random_forest_data(2)
+        kinds = tuple("categorical" if kind == "cat" else kind for kind in column_kinds)
+        with pytest.raises(ValueError, match="'num' or 'cat'"):
+            fit_forest(X, y, kinds, ForestParams(), 0)
+
+    def test_numeric_values_beyond_integer_range_fit_without_warnings(self):
+        X, y, column_kinds = random_forest_data(2)
+        X[:, column_kinds.index("num")] *= 1e20
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = fit_forest(X, y, column_kinds, ForestParams(n_trees=5), 0)
+        assert_same_trees(
+            model, reference_forest(X, y, column_kinds, ForestParams(n_trees=5), 0), X
+        )
 
 
 # PCG64's multiplier: a step is state * MULTIPLIER + inc modulo 2**128, and

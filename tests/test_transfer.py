@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from acpp import transfer
 from acpp.core import InstanceGrouping, RunRecord, RunStatus, split_random_even, subset_bounds
 from acpp.perfmodel import ForestParams
 from acpp.rundata import RunDataStore
@@ -153,15 +154,18 @@ class TestTransfer:
         assert a == b
 
 
-def random_transfer_inputs(seed, n, k):
+def random_transfer_inputs(seed, n, k, shared=False):
     """Randomized store/grouping/incumbents in the spirit of the procedure's
-    preconditions: one incumbent per subset, runs for ~90% of instances."""
+    preconditions: one incumbent per subset, runs for ~90% of instances.
+    With ``shared`` every subset gets the first subset's incumbent."""
     rng = random.Random(seed)
     space = parse_space("strategy categorical {x, y, z, w} [x]\n")
     grouping = split_random_even([f"i{j}" for j in range(n)], k, seed)
     incumbents = [
         make_config(space, {"strategy": rng.choice("xyzw")}) for _ in range(k)
     ]
+    if shared:
+        incumbents = incumbents[:1] * k
     features = {f"i{j}": (rng.uniform(0, 10), rng.uniform(0, 10)) for j in range(n)}
     store = RunDataStore()
     cutoff = 60.0
@@ -197,6 +201,70 @@ def test_randomized_invariants(seed, n, k):
             assert grouping.lower_bound <= after <= grouping.upper_bound
     # termination within |T| rounds
     assert report.rounds <= max(1, len(report.candidates))
-    # non-worsening predictions at every executed move
+    # non-worsening predictions at every executed move that was predicted
+    # (with one incumbent shared by every subset no model is fitted)
     for move in report.moves:
-        assert move.predicted[move.target] <= move.predicted[move.source]
+        if move.predicted is not None:
+            assert move.predicted[move.target] <= move.predicted[move.source]
+
+
+def no_fit(*args, **kwargs):
+    raise AssertionError("fit_model called with one shared incumbent")
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=10_000),
+    st.integers(min_value=20, max_value=60),
+    st.integers(min_value=2, max_value=5),
+)
+def test_shared_incumbent_moves_to_lowest_subset_with_room(seed, n, k):
+    space, grouping, incumbents, features, store, cutoff = random_transfer_inputs(
+        seed, n, k, shared=True
+    )
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(transfer, "fit_model", no_fit)
+        result, report = transfer_instances(
+            grouping, incumbents, features, store, space, seed, cutoff, 10,
+            forest=SMALL_FOREST,
+        )
+    # replay the moves: each left a subset above the lower bound for the
+    # lowest-numbered subset below the upper bound, its source included
+    subsets = [list(subset) for subset in grouping.subsets]
+    for move in report.moves:
+        assert move.predicted is None
+        sizes = [len(subset) for subset in subsets]
+        assert move.instance_id in subsets[move.source]
+        assert sizes[move.source] > grouping.lower_bound
+        assert move.target == min(j for j in range(k) if sizes[j] < grouping.upper_bound)
+        if move.target != move.source:
+            subsets[move.source].remove(move.instance_id)
+            subsets[move.target].append(move.instance_id)
+    assert tuple(map(tuple, subsets)) == result.subsets
+
+
+def test_shared_incumbent_fits_no_model(space, monkeypatch):
+    grouping, incumbents, features, store = planted_two_subset_case(space)
+    monkeypatch.setattr(transfer, "fit_model", no_fit)
+    _, report = transfer_instances(
+        grouping, incumbents[:1] * 2, features, store, space, 7, 60.0, 10,
+        forest=SMALL_FOREST,
+    )
+    assert report.moves
+    assert all(move.predicted is None for move in report.moves)
+
+
+def test_distinct_incumbents_fit_one_model(space, monkeypatch):
+    grouping, incumbents, features, store = planted_two_subset_case(space)
+    fits, fit_model = [], transfer.fit_model
+
+    def counted_fit(*args, **kwargs):
+        fits.append(args)
+        return fit_model(*args, **kwargs)
+
+    monkeypatch.setattr(transfer, "fit_model", counted_fit)
+    _, report = transfer_instances(
+        grouping, incumbents, features, store, space, 7, 60.0, 10, forest=SMALL_FOREST
+    )
+    assert len(fits) == 1
+    assert all(len(move.predicted) == 2 for move in report.moves)
