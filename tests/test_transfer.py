@@ -243,17 +243,6 @@ def test_shared_incumbent_moves_to_lowest_subset_with_room(seed, n, k):
     assert tuple(map(tuple, subsets)) == result.subsets
 
 
-def test_shared_incumbent_fits_no_model(space, monkeypatch):
-    grouping, incumbents, features, store = planted_two_subset_case(space)
-    monkeypatch.setattr(transfer, "fit_model", no_fit)
-    _, report = transfer_instances(
-        grouping, incumbents[:1] * 2, features, store, space, 7, 60.0, 10,
-        forest=SMALL_FOREST,
-    )
-    assert report.moves
-    assert all(move.predicted is None for move in report.moves)
-
-
 def test_distinct_incumbents_fit_one_model(space, monkeypatch):
     grouping, incumbents, features, store = planted_two_subset_case(space)
     fits, fit_model = [], transfer.fit_model
