@@ -360,7 +360,7 @@ def construct_grouped(
                 def evaluate(config, instance, cap, run_seed):
                     record = execute_run(
                         backend, config, instance, cap, run_seed, store=store,
-                        ledger=ledger, phase=phase_idx, subset_index=j,
+                        ledger=ledger, phase=phase_idx,
                     )
                     return record, record.runtime
 
@@ -599,7 +599,6 @@ class PortfolioEvaluator:
             status=combined.status,
             runtime=combined.runtime,
             cutoff=cutoff,
-            backend_label=f"{self.backend.label}:portfolio",
         )
         self.store.add(record, config)
         if self.ledger is not None:

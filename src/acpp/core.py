@@ -67,9 +67,6 @@ class RunRecord:
     status: RunStatus
     runtime: float
     cutoff: float
-    backend_label: str = ""
-    phase: int | None = None
-    subset_index: int | None = None
 
     def __post_init__(self) -> None:
         if not 0 < self.cutoff < math.inf:

@@ -2,10 +2,12 @@
 medians, timeout/PAR summaries, and the paired sign-flip permutation test.
 
 ``compare_reports`` tests the timeout, PAR-10 and PAR-1 differences of two
-reports on one set of sign flips, drawn once. Its p-values do not depend on
-the BLAS thread count (see ``_sign_flip_hits``). The flips are streamed
-chunk by chunk through one buffer of about 2**16 cells, so the test's
-memory does not grow with the permutation count.
+reports on one set of sign flips, drawn once: each permutation is the low
+bits of whole PCG64 outputs, one bit per pair. Each permuted sum is added
+up from per-byte tables of signed pair sums in a fixed order, without BLAS,
+so the p-values depend only on the inputs and the seed (see
+``_sign_flip_hits``). The flips are drawn a bounded chunk of permutations
+at a time, so the test's memory does not grow with the permutation count.
 """
 
 from __future__ import annotations
@@ -143,10 +145,11 @@ def permutation_test(
 ) -> PermutationOutcome:
     """Two-sided Monte Carlo paired sign-flip test on the mean difference.
 
-    p = (1 + #{permuted |mean| >= observed |mean|}) / (1 + n_permutations),
-    so p is in (0, 1] and equals 1.0 for identical inputs; swapping the two
-    sides gives the identical p-value under the same seed. A difference
-    that is not finite raises ``ValueError``.
+    p = (1 + #{permuted |sum| >= observed |sum|}) / (1 + n_permutations),
+    the sum being n times the mean, so p is in (0, 1] and equals 1.0 for
+    identical inputs; swapping the two sides gives the identical p-value
+    under the same seed. A difference that is not finite raises
+    ``ValueError``.
     """
     if not 0 < alpha < 1:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
@@ -210,52 +213,36 @@ def _outcome(diffs: np.ndarray, hits: int, n_permutations: int, alpha: float) ->
     )
 
 
-# OpenBLAS computes a matrix-vector product of fewer than 2304 * 4 cells on
-# the calling thread (interface/gemv.c, GEMM_MULTITHREAD_THRESHOLD = 4). A
-# larger one is split by rows over its threads. Its x86-64 dgemv_t kernels
-# sum the rows of ``signs`` in groups of 4 and the rest on a remainder path
-# that can round differently, so the last rows of each thread's share could
-# make a permuted mean that ties the observed one count at one thread count
-# and not at another.
-_ONE_THREAD_CELLS = 2304 * 4
-_ROW_GROUP = 4
-# Signs are made and multiplied one chunk of whole row slices at a time, in a
-# buffer of about this many float64 cells (0.5 MiB) that stays in the core's
-# 2 MiB L2 cache. On a 2-core Xeon at one OpenBLAS thread, one 3-vector call
-# at 24, 80 and 300 pairs ran fastest at 2**16 or 2**17 cells; at 2**14 a
-# chunk holds a single slice of about 9,000 cells, and 2**18 was slower again.
-_CHUNK_CELLS = 1 << 16
+# A call draws this many permutations at a time. Each permutation takes its
+# own whole generator outputs, so the chunk size does not change which flips
+# a row gets; it bounds the buffers. On a 2-core Xeon one 100,000-permutation
+# compare at 80 pairs peaked at 441 KiB (tracemalloc) with 4,096 rows and
+# 805 KiB with 8,192, and took 5.5 against 5.0 ms in this function.
+_CHUNK_ROWS = 1 << 12
 
 
 def _sign_flip_hits(diffs: Sequence[np.ndarray], n_permutations: int, seed: int) -> list[int]:
     """For each difference vector ``d`` of length n, count the sign flips
-    ``s`` with ``|s @ d| / n >= |mean(d)|``; every vector is tested on the
-    same flips.
+    ``s`` with ``|s @ d| >= |sum(d)|``; every vector is tested on the same
+    flips.
 
-    The flips are ``rng.integers(0, 2, size=(m, n)) * 2 - 1`` on
-    ``np.random.default_rng(seed)``, drawn in blocks of ``m = 2**20 // n``
-    rows, but read straight from the PCG64 stream. With range 2, numpy's
-    Lemire draw takes one 32-bit word per cell, never rejects (its threshold
-    is (2**32 - 2) % 2 = 0) and returns the word's top bit. PCG64 serves the
-    low half of each 64-bit output first, so a block with an odd cell count
-    leaves the high half of its last output to the next block.
+    Permutation ``i`` is the low n bits of the ``w = ceil(n / 64)`` outputs
+    ``w * i`` to ``w * i + w - 1`` of ``random_raw`` on
+    ``np.random.default_rng(seed).bit_generator``, read as little-endian
+    bytes: pair ``j`` is bit ``j % 8`` of byte ``j // 8``, and a set bit
+    keeps its sign. The outputs are drawn ``_CHUNK_ROWS`` permutations at a
+    time.
 
-    No block is built whole. The signs are streamed chunk by chunk through
-    one preallocated buffer of about ``_CHUNK_CELLS`` cells: each chunk reads
-    only its own words, writes their top bits into the buffer, takes each
-    bit (a carried one too) to ``bit * 2 - 1`` in place, multiplies and
-    counts. So the memory does not grow with the permutation count or the
-    block size, only with n when a single row slice exceeds the buffer.
-
-    Each vector gets its own product per row slice of fewer than
-    ``_ONE_THREAD_CELLS`` cells and whole ``_ROW_GROUP``s, counted from the
-    start of each block; a chunk is a run of whole slices inside one block,
-    so a block's short last slice is the same as without chunks. OpenBLAS
-    keeps each slice on one thread, so each row's sum is the one that a
-    single ``signs @ d`` over the block gives on one thread, and the counts
-    do not depend on the BLAS thread count (up to 2,303 pairs; beyond that a
-    slice of 4 rows is already split). A single product with all vectors as
-    columns would sum in another order and could move a tie.
+    Each vector gets one table per byte of pairs: the signed sums of that
+    byte's (up to) 8 pairs for all 256 byte values, added in pair order. A
+    permutation's sum adds one entry per byte, in byte order, and the
+    observed sum is the all-set permutation's sum on the same path. So a
+    permutation that flips only zero differences ties exactly, negating
+    ``d`` negates every sum exactly, and no sum depends on the chunk size
+    or on BLAS, which is not used. The tables take 2 KiB per 8 pairs per
+    vector; the other buffers hold ``_CHUNK_ROWS`` rows of 8 bytes per
+    generator output, 17 bytes per vector and 8 bytes of byte index, so the
+    memory does not grow with the permutation count.
     """
     n = len(diffs[0])
     if n < 1:
@@ -264,42 +251,40 @@ def _sign_flip_hits(diffs: Sequence[np.ndarray], n_permutations: int, seed: int)
         raise ValueError("need at least one permutation")
     if not all(np.isfinite(d).all() for d in diffs):
         raise ValueError("score differences must be finite")
-    observed = [abs(float(d.mean())) for d in diffs]
-    hits = [0] * len(diffs)
+    n_bytes, words = -(-n // 8), -(-n // 64)
+    padded = np.zeros((len(diffs), n_bytes * 8))
+    padded[:, :n] = diffs
+    pairs = padded.reshape(len(diffs), n_bytes, 8, 1)
+    keep = (np.arange(256) >> np.arange(8)[:, None]) & 1 == 1  # keep[i, v]: bit i of v
+    tables = np.where(keep[0], pairs[:, :, 0], -pairs[:, :, 0])
+    for i in range(1, 8):
+        tables += np.where(keep[i], pairs[:, :, i], -pairs[:, :, i])
+    tables = np.ascontiguousarray(tables.transpose(1, 0, 2))  # [byte, vector, value]
+    observed = tables[0, :, 255].copy()
+    for table in tables[1:]:
+        observed += table[:, 255]
+    observed = np.abs(observed)[:, None]
+    hits = np.zeros(len(diffs), dtype=np.int64)
     bit_gen = np.random.default_rng(seed).bit_generator
-    batch = max(1, (1 << 20) // n)
-    rows = max(_ROW_GROUP, (_ONE_THREAD_CELLS - 1) // n // _ROW_GROUP * _ROW_GROUP)
-    chunk = min(max(1, _CHUNK_CELLS // (rows * n)) * rows, batch, n_permutations)
-    signs = np.empty(chunk * n)
-    sums = np.empty(chunk)
-    above = np.empty(chunk, dtype=bool)
-    carry: list[int] = []  # top bit of the unused high half of the last output
-    remaining = n_permutations
-    while remaining > 0:
-        m = min(batch, remaining)
-        for first in range(0, m, chunk):
-            r = min(chunk, m - first)
-            cells, c = r * n, len(carry)
-            words = bit_gen.random_raw((cells - c + 1) // 2).astype("<u8", copy=False).view("<u4")
-            np.right_shift(words, 31, out=words)
-            signs[:c] = carry
-            signs[c:cells] = words[: cells - c]
-            carry = words[cells - c :].tolist()
-            del words  # free it before the next chunk's draw
-            flips = signs[:cells]
-            flips *= 2
-            flips -= 1
-            flips = flips.reshape(r, n)
-            for j, d in enumerate(diffs):
-                s, hit = sums[:r], above[:r]
-                for start in range(0, r, rows):
-                    np.matmul(flips[start : start + rows], d, out=s[start : start + rows])
-                np.abs(s, out=s)
-                s /= n
-                np.greater_equal(s, observed[j], out=hit)
-                hits[j] += int(np.count_nonzero(hit))
-        remaining -= m
-    return hits
+    chunk = min(_CHUNK_ROWS, n_permutations)
+    sums, part = np.empty((2, len(diffs), chunk))
+    above = np.empty((len(diffs), chunk), dtype=bool)
+    index = np.empty(chunk, dtype=np.intp)
+    for first in range(0, n_permutations, chunk):
+        r = min(chunk, n_permutations - first)
+        flips = bit_gen.random_raw(r * words).astype("<u8", copy=False).view(np.uint8)
+        flips = flips.reshape(r, 8 * words)
+        s, p, ix = sums[:, :r], part[:, :r], index[:r]
+        for k, table in enumerate(tables):
+            np.copyto(ix, flips[:, k], casting="unsafe")
+            # byte values are always in range, and "clip" skips the check
+            np.take(table, ix, axis=1, out=p if k else s, mode="clip")
+            if k:
+                s += p
+        np.abs(s, out=s)
+        np.greater_equal(s, observed, out=above[:, :r])
+        hits += np.count_nonzero(above[:, :r], axis=1)
+    return hits.tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -111,7 +111,6 @@ def execute_run(
     store: RunDataStore | None = None,
     ledger: BudgetLedger | None = None,
     phase: int | None = None,
-    subset_index: int | None = None,
 ) -> RunRecord:
     """Run one configuration on one instance under the cutoff.
 
@@ -128,9 +127,6 @@ def execute_run(
         status=status,
         runtime=runtime,
         cutoff=cutoff,
-        backend_label=backend.label,
-        phase=phase,
-        subset_index=subset_index,
     )
     if store is not None:
         store.add(record, config)

@@ -47,7 +47,6 @@ class Move:
 class TransferReport:
     threshold: float | None
     candidates: frozenset[str]
-    measured: dict[str, float]
     n_excluded: int
     rounds: int
     moves: tuple[Move, ...]
@@ -109,7 +108,7 @@ def transfer_instances(
     n_excluded = sum(grouping.sizes()) - len(measured)
     if not candidates:
         return grouping, TransferReport(
-            threshold, frozenset(), measured, n_excluded, rounds=0, moves=()
+            threshold, frozenset(), n_excluded, rounds=0, moves=()
         )
 
     subsets = [list(s) for s in grouping.subsets]
@@ -179,7 +178,6 @@ def transfer_instances(
     report = TransferReport(
         threshold=threshold,
         candidates=frozenset(candidates),
-        measured=measured,
         n_excluded=n_excluded,
         rounds=rounds,
         moves=tuple(moves),

@@ -756,4 +756,3 @@ class TestPortfolioEvaluatorPrefix:
         assert ledger.configuration_time == 3 * 12.0
         records = list(evaluator.store.records())
         assert [r.instance_id for r in records] == ["i0", "i1", "i2"]
-        assert all(r.backend_label == "recording:portfolio" for r in records)

@@ -104,16 +104,53 @@ def tied_par10_reports(n, seed):
     )
 
 
-def blocked_compare_lines(path_a, path_b):
+def reference_p_value(diffs, n_permutations, seed):
+    """The sign-flip p-value without byte tables. Permutation ``i`` is the
+    low n bits of generator outputs ``w * i`` to ``w * i + w - 1``, with
+    ``w = ceil(n / 64)``, unpacked little-endian to +1 (bit set) or -1. Its
+    sum adds the pairs byte by byte in pair order, then the byte sums in
+    byte order; the observed sum is the all-ones row's on the same path."""
+    diffs = np.asarray(diffs, dtype=float)
+    n = len(diffs)
+    words = -(-n // 64)
+    padded = np.zeros(-(-n // 8) * 8)
+    padded[:n] = diffs
+
+    def row_sums(signs):
+        terms = (signs * padded).reshape(len(signs), -1, 8)
+        byte_sums = terms[:, :, 0]
+        for j in range(1, 8):
+            byte_sums = byte_sums + terms[:, :, j]
+        total = byte_sums[:, 0]
+        for k in range(1, byte_sums.shape[1]):
+            total = total + byte_sums[:, k]
+        return total
+
+    observed = abs(row_sums(np.ones((1, len(padded))))[0])
+    raw = np.random.default_rng(seed).bit_generator.random_raw(n_permutations * words)
+    flips = raw.astype("<u8").view(np.uint8).reshape(n_permutations, 8 * words)
+    hits = 0
+    rows = max(1, (1 << 16) // n)  # unpack a few rows at a time to bound memory
+    for first in range(0, n_permutations, rows):
+        bits = np.unpackbits(flips[first : first + rows], axis=1, bitorder="little")
+        signs = bits[:, : len(padded)] * 2.0 - 1.0
+        hits += int((np.abs(row_sums(signs)) >= observed).sum())
+    return (1 + hits) / (1 + n_permutations)
+
+
+def kind_diffs(a, b, kind):
+    """``a``'s scores of one kind minus ``b``'s, in ``a``'s instance order."""
+    vec_a, vec_b = a.score_vector(kind), b.score_vector(kind)
+    return np.array(list(vec_a.values())) - np.array([vec_b[i] for i in vec_a])
+
+
+def reference_compare_lines(path_a, path_b):
     """The p-value parts of ``acpp compare``'s output on two report files at
-    the default seed and permutation count, each score kind tested on its own
-    blocked draw."""
+    the default seed and permutation count, from ``reference_p_value``."""
     a, b = read_report(path_a), read_report(path_b)
     lines = []
     for kind in ("timeout", "par10", "par1"):
-        vec_a, vec_b = a.score_vector(kind), b.score_vector(kind)
-        diffs = np.array(list(vec_a.values())) - np.array([vec_b[i] for i in vec_a])
-        p = TestPermutationTest.blocked_p_value(diffs, 100_000, 0)
+        p = reference_p_value(kind_diffs(a, b, kind), 100_000, 0)
         lines.append(f"{kind:>8}: p={p:.6f} (")
     return lines
 
@@ -229,43 +266,9 @@ class TestPermutationTest:
         with pytest.raises(ValueError):
             permutation_test([1.0, 2.0], [1.0], n_permutations=10)
 
-    @staticmethod
-    def unblocked_p_value(a, b, n_permutations, seed):
-        """The p-value as computed before the signs were drawn in blocks of
-        2**20: integer signs, in batches of up to 20,000,000 cells."""
-        diffs = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
-        observed = abs(float(diffs.mean()))
-        rng = np.random.default_rng(seed)
-        n = len(diffs)
-        hits = 0
-        remaining = n_permutations
-        batch = max(1, min(remaining, 20_000_000 // n))
-        while remaining > 0:
-            m = min(batch, remaining)
-            signs = rng.integers(0, 2, size=(m, n)) * 2 - 1
-            hits += int((np.abs(signs @ diffs) / n >= observed).sum())
-            remaining -= m
-        return (1 + hits) / (1 + n_permutations)
-
-    @staticmethod
-    def blocked_p_value(diffs, n_permutations, seed):
-        """The p-value as computed before the score kinds shared one draw:
-        ``rng.integers`` signs in blocks of 2**20 and one product per block."""
-        observed = abs(float(diffs.mean()))
-        rng = np.random.default_rng(seed)
-        n = len(diffs)
-        hits = 0
-        remaining = n_permutations
-        batch = max(1, (1 << 20) // n)
-        while remaining > 0:
-            m = min(batch, remaining)
-            signs = rng.integers(0, 2, size=(m, n)).astype(np.float64) * 2 - 1
-            hits += int((np.abs(signs @ diffs) / n >= observed).sum())
-            remaining -= m
-        return (1 + hits) / (1 + n_permutations)
-
-    # 24 and 25 pairs fit 43,690 and 41,943 permutations in a block, 80 and
-    # 81 pairs 13,107 and 12,945: 100,000 permutations take 3 and 8 blocks
+    # 100,000 permutations take 25 chunks of 4,096 rows, the last one
+    # partial; 1, 7 and 81 pairs leave bits of their last byte unused, and
+    # 81 pairs take two generator outputs per permutation
     @pytest.mark.parametrize("n", [1, 2, 7, 24, 25, 80, 81])
     @pytest.mark.parametrize("seed", [0, 5])
     def test_p_value_unchanged_by_blocking(self, n, seed):
@@ -273,11 +276,11 @@ class TestPermutationTest:
         b = rng.normal(10.0, 2.0, size=n)
         a = b + rng.normal(0.3, 1.0, size=n)
         outcome = permutation_test(a.tolist(), b.tolist(), n_permutations=100_000, seed=seed)
-        assert outcome.p_value == self.unblocked_p_value(a, b, 100_000, seed)
+        assert outcome.p_value == reference_p_value(a - b, 100_000, seed)
 
     # PAR-10 scores at cutoff 10 tie often: most pairs time out on both sides
     # (difference 0) and the rest repeat a few differences, so many permuted
-    # means equal the observed one and a last-bit change would move hits
+    # sums equal the observed one and a last-bit change would move hits
     @pytest.mark.parametrize("n", [1, 2, 7, 24, 25, 80, 81])
     @pytest.mark.parametrize("seed", [0, 5])
     def test_tied_p_value_unchanged_by_blocking(self, n, seed):
@@ -289,42 +292,72 @@ class TestPermutationTest:
         b[side == 2] = 2.5  # only b solves, the same difference negated
         a[side == 3], b[side == 3] = 1.25, 3.75  # both solve
         outcome = permutation_test(a.tolist(), b.tolist(), n_permutations=100_000, seed=seed)
-        assert outcome.p_value == self.unblocked_p_value(a, b, 100_000, seed)
+        assert outcome.p_value == reference_p_value(a - b, 100_000, seed)
 
-    # 50,001 permutations end on a partial block at every n; at 81 pairs a
-    # block of 12,945 rows has an odd cell count, so its last 64-bit output
-    # leaves a half to the next block
+    # differences that repeat with both signs but are not dyadic: many
+    # permuted sums equal the observed one up to rounding, so a sum added
+    # in another order, or an observed sum taken on another path, moves hits
+    @pytest.mark.parametrize("n", [24, 80, 81])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_rounded_ties_match_reference(self, n, seed):
+        rng = np.random.default_rng(100 * n + seed)
+        diffs = rng.choice([0.0, 1.37, -1.37, 2.91, -2.91, 0.1, -0.1, 3.3], size=n)
+        outcome = permutation_test(diffs.tolist(), [0.0] * n, n_permutations=20_000, seed=seed)
+        assert outcome.p_value == reference_p_value(diffs, 20_000, seed)
+
+    # 50,001 permutations end on a partial chunk at every n; each score kind
+    # of a compare, the reports swapped and a report against itself give the
+    # p-values of a test of that kind alone
     @pytest.mark.parametrize("n", [24, 80, 81])
     def test_compare_shares_one_draw(self, n):
         a, b = tied_par10_reports(n, seed=1)
         outcomes = compare_reports(a, b, n_permutations=50_001, seed=3)
         assert list(outcomes) == ["timeout", "par10", "par1"]
+        swapped = compare_reports(b, a, n_permutations=50_001, seed=3)
+        itself = compare_reports(a, a, n_permutations=50_001, seed=3)
         for kind, outcome in outcomes.items():
             vec_a, vec_b = a.score_vector(kind), b.score_vector(kind)
             scores_a, scores_b = list(vec_a.values()), [vec_b[i] for i in vec_a]
             assert outcome == permutation_test(scores_a, scores_b, n_permutations=50_001, seed=3)
-            assert outcome.p_value == self.unblocked_p_value(
-                np.array(scores_a), np.array(scores_b), 50_001, 3
-            )
+            assert outcome.p_value == reference_p_value(kind_diffs(a, b, kind), 50_001, 3)
+            assert swapped[kind].p_value == outcome.p_value
+            assert itself[kind].p_value == 1.0
 
-    # with 4,096-cell chunks a block spans many chunks. A chunk is a whole
-    # number of 4-row slices, so a half-word is carried only out of a block
-    # that starts without one and has an odd cell count: at 25 pairs into
-    # row 41,944, at 81 pairs into rows 12,946 and 38,836, at 2,303 pairs
-    # after every second block of 455 rows. At 2,303 and 2,304 pairs a chunk
-    # is a single 4-row slice
+    # chunks of about a third of the permutations: 2 chunks of 2 rows for 4
+    # permutations, and 3 for 12,946 and 50,001, the last one partial.
+    # 2,303 and 2,304 pairs take 36 generator outputs per permutation
     @pytest.mark.parametrize("n", [1, 2, 25, 81, 2303, 2304])
     @pytest.mark.parametrize("n_permutations", [1, 4, 12_946, 50_001])
     def test_p_value_unchanged_by_chunk_edges(self, monkeypatch, n, n_permutations):
         a, b = tied_par10_reports(n, seed=2)
         default = compare_reports(a, b, n_permutations=n_permutations, seed=4)
-        monkeypatch.setattr(acpp.evaluation, "_CHUNK_CELLS", 4096)
+        monkeypatch.setattr(acpp.evaluation, "_CHUNK_ROWS", n_permutations // 3 + 1)
         outcomes = compare_reports(a, b, n_permutations=n_permutations, seed=4)
         assert outcomes == default
         for kind, outcome in outcomes.items():
-            vec_a, vec_b = a.score_vector(kind), b.score_vector(kind)
-            diffs = np.array(list(vec_a.values())) - np.array([vec_b[i] for i in vec_a])
-            assert outcome.p_value == self.blocked_p_value(diffs, n_permutations, 4)
+            assert outcome.p_value == reference_p_value(kind_diffs(a, b, kind), n_permutations, 4)
+
+    # dyadic differences add up exactly in any order, so the p-value of all
+    # 2**n flips is exact; the Monte Carlo one lies within 5 binomial
+    # standard errors of it, plus 2 / N for the added 1 in its numerator
+    # and denominator
+    @pytest.mark.parametrize(
+        "diffs",
+        [
+            [0.5, -0.25, 0.0, 1.25, 1.25, 2.0],
+            [0.25, 0.25, -0.25, 0.0, 0.0, 1.5, -1.5, 0.75, 2.0, -0.125],
+            [1.0, 1.0, 1.0, -0.5, 0.5, 0.0, 0.0, 0.0, 2.25, 3.0, 0.125, -0.125],
+        ],
+    )
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_p_value_matches_exact_enumeration(self, diffs, seed):
+        n, n_permutations = len(diffs), 100_000
+        d = np.array(diffs)
+        signs = ((np.arange(2**n)[:, None] >> np.arange(n)) & 1) * 2.0 - 1.0
+        exact = float(np.mean(np.abs(signs @ d) >= abs(d.sum())))
+        outcome = permutation_test(diffs, [0.0] * n, n_permutations=n_permutations, seed=seed)
+        error = math.sqrt(exact * (1 - exact) / n_permutations)
+        assert abs(outcome.p_value - exact) <= 5 * error + 2 / n_permutations
 
     # a NaN, or inf - inf, made every comparison false, so p came out as
     # 1 / (1 + n_permutations) and "significant"
@@ -336,8 +369,8 @@ class TestPermutationTest:
         with pytest.raises(ValueError, match="must be finite"):
             permutation_test([1.0, a, 2.0], [1.0, b, 1.0], n_permutations=1000)
 
-    # numpy reports its buffers to tracemalloc; the signs of 100,000
-    # permutations of 80 pairs would take 61 MiB as float64
+    # numpy reports its buffers to tracemalloc; the sums of 100,000
+    # permutations of 80 pairs for 3 score kinds would take 2.3 MiB at once
     def test_compare_memory_does_not_grow_with_permutations(self):
         a, b = tied_par10_reports(80, seed=1)
         tracing = tracemalloc.is_tracing()
@@ -360,11 +393,10 @@ class TestPermutationTest:
         with pytest.raises(ValueError, match="at least one permutation"):
             compare_reports(a, b, n_permutations=0)
 
-    # PAR-1 differences repeat with both signs, so many permuted means equal
-    # the observed one up to rounding, and a row summed on another path can
-    # move the PAR-1 p-value by 1e-5: at seed 35 a two-thread OpenBLAS
-    # product over a whole block does, at seed 2 row slices that are not
-    # whole groups of 4 rows do
+    # PAR-1 differences repeat with both signs, so many permuted sums equal
+    # the observed one up to rounding, and a row summed on another path
+    # could move the PAR-1 p-value by 1e-5; the CLI's p-values are the same
+    # at one and two OpenBLAS threads, and equal the reference's
     @pytest.mark.parametrize("seed", [2, 35])
     def test_compare_output_independent_of_blas_threads(self, tmp_path, seed):
         rng = np.random.default_rng(seed)
@@ -388,12 +420,10 @@ class TestPermutationTest:
         compare = ["-m", "acpp", "compare", "--reports", *reports]
         one_thread = run("1", *compare)
         assert one_thread == run("2", *compare)
-        # on one thread the whole-block products of the blocked reference sum
-        # every row as the row slices do
         reference = run(
             "1", "-c",
-            "import sys; from tests.test_evaluation import blocked_compare_lines; "
-            "print(*blocked_compare_lines(*sys.argv[1:]), sep='\\n')",
+            "import sys; from tests.test_evaluation import reference_compare_lines; "
+            "print(*reference_compare_lines(*sys.argv[1:]), sep='\\n')",
             *reports,
         )
         assert len(reference.splitlines()) == 3
