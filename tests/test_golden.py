@@ -13,11 +13,16 @@ claims to keep results can be checked against them:
   has no tilt option, so this scenario is written through the library.
   Its builds draw candidate pools with a real slot, and pcit's subsets
   end some phases with different incumbents.
+- ``transfer/pcit-<scenario>-seed<seed>/``: pcit on each of the two
+  scenarios at ``--tc 1000``, where a repetition's subsets end their first
+  phase with different incumbents. So the first transfer fits its forest,
+  and later phases warm-start from incumbents other than the default.
 
 After a change that is meant to move the outputs, rewrite the files with
 ``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
 """
 
+import json
 from pathlib import Path
 
 import pytest
@@ -33,6 +38,9 @@ FILES = ("portfolio.json", "report.json", "construction_log.jsonl")
 SYNTH_ARGS = ["synth-gen", "--families", "3", "--configs", "5", "--instances", "24", "--seed", "3"]
 BUDGET_ARGS = ["--tc", "300", "--tv", "120", "--r", "2", "--cores", "1"]
 TILT_BUDGET_ARGS = ["--tc", "600", "--tv", "120", "--r", "2", "--cores", "1"]
+TRANSFER_GOLDEN = GOLDEN / "transfer"
+TRANSFER_BUDGET_ARGS = ["--tc", "1000", "--tv", "120", "--r", "2", "--cores", "1"]
+TRANSFER_BUILDS = (("plain", 3), ("tilt", 3))  # (scenario, seed) of each pcit build
 
 
 def build(method: str, seed: int, scenario: Path, out_dir: Path, budget_args=BUDGET_ARGS) -> None:
@@ -85,25 +93,43 @@ def test_tilt_outputs_match_golden_files(method, seed, tilt_scenario, tmp_path):
     assert_matches(tmp_path, TILT_GOLDEN / f"{method}-seed{seed}")
 
 
+@pytest.mark.parametrize("name, seed", TRANSFER_BUILDS)
+def test_transfer_outputs_match_golden_files(name, seed, scenario, tilt_scenario, tmp_path):
+    path = {"plain": scenario, "tilt": tilt_scenario}[name]
+    build("pcit", seed, path, tmp_path, TRANSFER_BUDGET_ARGS)
+    assert_matches(tmp_path, TRANSFER_GOLDEN / f"pcit-{name}-seed{seed}")
+    events = [json.loads(line) for line in (tmp_path / "construction_log.jsonl").open()]
+    first_phases = [e for e in events if e["event"] == "phase_done" and e["phase"] == 1]
+    assert any(len(set(e["incumbents"])) > 1 for e in first_phases)
+
+
 def regenerate() -> None:
     import tempfile
 
-    sets = (
-        (make_scenario, BUDGET_ARGS, GOLDEN),
-        (make_tilt_scenario, TILT_BUDGET_ARGS, TILT_GOLDEN),
-    )
     with tempfile.TemporaryDirectory() as tmp:
-        for make, budget_args, golden in sets:
-            work = Path(tmp) / golden.name
-            path = make(work / "scenario")
-            for method in METHODS:
-                for seed in SEEDS:
-                    out_dir = work / f"{method}-seed{seed}"
-                    build(method, seed, path, out_dir, budget_args)
-                    target = golden / out_dir.name
-                    target.mkdir(parents=True, exist_ok=True)
-                    for name in FILES:
-                        (target / name).write_bytes((out_dir / name).read_bytes())
+        scenarios = {
+            "plain": make_scenario(Path(tmp) / "plain"),
+            "tilt": make_tilt_scenario(Path(tmp) / "tilt"),
+        }
+        builds = [
+            (method, seed, scenarios[name], budget_args, golden / f"{method}-seed{seed}")
+            for name, budget_args, golden in (
+                ("plain", BUDGET_ARGS, GOLDEN), ("tilt", TILT_BUDGET_ARGS, TILT_GOLDEN)
+            )
+            for method in METHODS
+            for seed in SEEDS
+        ]
+        builds += [
+            ("pcit", seed, scenarios[name], TRANSFER_BUDGET_ARGS,
+             TRANSFER_GOLDEN / f"pcit-{name}-seed{seed}")
+            for name, seed in TRANSFER_BUILDS
+        ]
+        for method, seed, path, budget_args, target in builds:
+            out_dir = Path(tmp) / "out" / target.relative_to(GOLDEN)
+            build(method, seed, path, out_dir, budget_args)
+            target.mkdir(parents=True, exist_ok=True)
+            for name in FILES:
+                (target / name).write_bytes((out_dir / name).read_bytes())
 
 
 if __name__ == "__main__":
