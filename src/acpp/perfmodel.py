@@ -19,10 +19,11 @@ Each tree grows on one path, with every node's samples held as Python
 lists: on the few columns and the tens to thousands of rows this model
 sees, that costs less than numpy's per-call overhead. Sums follow numpy's
 pairwise order, and every split node draws its candidate columns as
-``rng.choice(n_cols, size=n_try, replace=False)`` would (``_ColumnDraw``
-mirrors numpy's ``Generator.choice`` algorithm on the tree generator's
-PCG64 stream at a fraction of its cost), so the trees are the ones a
-per-node numpy implementation grows.
+``rng.choice(n_cols, size=n_try, replace=False)`` would, so the trees are
+the ones a per-node numpy implementation grows. ``_ColumnDraw`` gets those
+draws at a fraction of ``choice``'s cost by reading the tree generator's
+stream ahead, which spends the generator: each tree has its own, and
+nothing draws from it once the tree is grown.
 """
 
 from __future__ import annotations
@@ -51,16 +52,15 @@ class _ColumnDraw:
 
     ``Generator.choice`` (checked against numpy 2.4 by the tests) samples up
     to 10,000 items by Floyd's algorithm and then shuffles the sample, one
-    Lemire bounded draw per step on the generator's 32-bit stream. PCG64
-    serves that stream as the low, then the high half of each 64-bit
-    output, and keeps an unused high half in ``has_uint32``/``uinteger``.
-    Outputs are read here in blocks with ``random_raw``, which bypasses that
-    buffer, so the generator must not be used between the first ``sample``
-    and ``close``; ``close`` rewinds it to just after the last output used
-    and restores the buffer.
+    Lemire bounded draw per step on the generator's 32-bit stream. That
+    stream is read ahead here in blocks of ``rng.integers(0, 2**32,
+    dtype=np.uint32)``, which returns the same words, the high half of an
+    output that the generator holds back first. So once ``sample`` has
+    run, the generator is spent: what it draws next follows the block, not
+    the last sample.
 
     Above ``LIST_MAX`` items ``sample`` calls ``rng.choice`` itself and
-    buffers nothing: the Python loop costs about 0.3 µs a step against
+    reads nothing ahead: the Python loop costs about 0.3 µs a step against
     ``choice``'s 4.6 µs a call, numpy's Floyd step keeps a hash set where
     this one searches a list, and above 10,000 items numpy may shuffle a
     tail instead.
@@ -69,17 +69,15 @@ class _ColumnDraw:
     LIST_MAX = 32  # 11 of 32 take 3.4 µs against 4.8 µs
 
     def __init__(self, rng: np.random.Generator, n: int, k: int):
-        bit_gen = rng.bit_generator
-        if type(bit_gen) is not np.random.PCG64:
-            raise TypeError(f"the column draw needs PCG64, not {type(bit_gen).__name__}")
+        # the tests pin the stream facts above on PCG64 only
+        bit_gen = type(rng.bit_generator)
+        if bit_gen is not np.random.PCG64:
+            raise TypeError(f"the column draw needs PCG64, not {bit_gen.__name__}")
         if not 0 < k <= n:
             raise ValueError(f"cannot draw {k} of {n} columns")
         self._rng, self._n, self._k = rng, n, k
-        self._bit_gen = bit_gen
-        self._start: dict | None = None  # generator state at the first draw
         self._words: list[int] = []
         self._pos = 0  # words used
-        self._fetched = 0  # 64-bit outputs read
         # Floyd: for j in [n - k, n), draw v in [0, j], keep v unless it was
         # drawn already, then j; a bound of 0 takes no draw. Then the shuffle:
         # for i from k - 1 down to 1, swap i with a draw in [0, i].
@@ -88,78 +86,48 @@ class _ColumnDraw:
         self._shuffle = [(i, i + 1) for i in range(k - 1, 0, -1)]
         self._need = len(self._floyd) + len(self._shuffle)
 
-    def _refill(self) -> None:
-        if self._start is None:
-            self._start = self._bit_gen.state
-            if self._start["has_uint32"]:
-                self._words.append(self._start["uinteger"])
-        block = max(64, self._fetched)
-        raw = self._bit_gen.random_raw(block).astype("<u8")
-        self._words += raw.view("<u4").tolist()
-        self._fetched += block
+    def _reserve(self, pos: int) -> None:
+        """Read ahead until a whole sample's words follow ``pos``, each
+        block as long as all words read so far and at least 128. The list
+        grows in place, so ``sample``'s alias of it stays valid."""
+        words = self._words
+        while len(words) - pos < self._need:
+            block = self._rng.integers(0, 2**32, size=max(128, len(words)), dtype=np.uint32)
+            words += block.tolist()
 
-    def _redraw(self, m: int, excl: int) -> int:
+    def _redraw(self, m: int, excl: int, pos: int) -> tuple[int, int]:
         """Lemire's rejection loop, entered when the low word of ``m`` fell
-        below ``excl``."""
+        below ``excl``: the accepted product and the next word's position."""
         threshold = (1 << 32) % excl
         while m & _MASK32 < threshold:
-            if self._pos == len(self._words):
-                self._refill()
-            m = self._words[self._pos] * excl
-            self._pos += 1
-        self._reserve()  # the rest of the sample reads without checks
-        return m
-
-    def _reserve(self) -> None:
-        """Make a whole sample's words available; ``_refill`` extends the
-        list in place, so ``sample``'s alias of it stays valid."""
-        while len(self._words) - self._pos < self._need:
-            self._refill()
+            self._reserve(pos)
+            m = self._words[pos] * excl
+            pos += 1
+        self._reserve(pos)  # the rest of the sample reads without checks
+        return m, pos
 
     def sample(self) -> list[int]:
         if self._n > self.LIST_MAX:
             return self._rng.choice(self._n, size=self._k, replace=False).tolist()
-        self._reserve()
         words, pos = self._words, self._pos
+        self._reserve(pos)
         out = self._first[:]
         for j, excl in self._floyd:
             m = words[pos] * excl
             pos += 1
             if m & _MASK32 < excl:
-                self._pos = pos
-                m = self._redraw(m, excl)
-                pos = self._pos
+                m, pos = self._redraw(m, excl, pos)
             v = m >> 32
             out.append(j if v in out else v)
         for i, excl in self._shuffle:
             m = words[pos] * excl
             pos += 1
             if m & _MASK32 < excl:
-                self._pos = pos
-                m = self._redraw(m, excl)
-                pos = self._pos
+                m, pos = self._redraw(m, excl, pos)
             j = m >> 32
             out[i], out[j] = out[j], out[i]
         self._pos = pos
         return out
-
-    def close(self) -> None:
-        """Leave the generator as the ``rng.choice`` calls would have."""
-        start = self._start
-        if start is None:
-            return  # nothing drawn
-        stream_words = self._pos - start["has_uint32"]
-        bit_gen = self._bit_gen
-        bit_gen.state = start
-        bit_gen.advance((stream_words + 1) // 2)
-        state = bit_gen.state
-        if stream_words % 2:
-            # the high half of the last output used is still buffered
-            state["has_uint32"], state["uinteger"] = 1, self._words[self._pos]
-        else:
-            # a consumed buffer keeps its stale word
-            state["has_uint32"], state["uinteger"] = 0, self._words[self._pos - 1]
-        bit_gen.state = state
 
 
 @dataclass(frozen=True)
@@ -269,14 +237,11 @@ def fit_model(
     )
     feature_dim = len(next(iter(features.values())))
     configs = store.known_configs()
-    enc_cache: dict[str, np.ndarray] = {}
+    encodings = {cid: encode_config(space, configs[cid]) for cid in {r.config_id for r in records}}
     rows = np.empty((len(records), len(space.parameters) + feature_dim))
     y = np.empty(len(records))
     for i, rec in enumerate(records):
-        enc = enc_cache.get(rec.config_id)
-        if enc is None:
-            enc = encode_config(space, configs[rec.config_id])
-            enc_cache[rec.config_id] = enc
+        enc = encodings[rec.config_id]
         rows[i, : len(enc)] = enc
         rows[i, len(enc) :] = np.asarray(features[rec.instance_id], dtype=float)
         # penalize against the run's own cutoff so a timeout under a racing
@@ -395,45 +360,37 @@ def _grow_tree(
         value.append((0.0 + _pairwise_sum(targets)) / m if m else math.nan)
         if m < 2 * min_leaf or targets.count(targets[0]) == m:
             return node
-        best = None
-        best_sse = math.inf
+        best_sse, best = math.inf, None
         for col in draw.sample():
             if cat_cols[col]:
                 codes = list(map(codes_[col].__getitem__, samples))
                 result = _best_categorical_split(codes, targets, n_codes, min_leaf)
-                if result is not None and result[0] < best_sse:
-                    best_sse = result[0]
-                    best = (col, 0.0, result[1])
-                continue
-            values = xs_[col]
-            order = sorted(samples, key=values.__getitem__)
-            result = _best_numeric_split(
-                list(map(values.__getitem__, order)), list(map(ys_.__getitem__, order)), min_leaf
-            )
+            else:
+                values = xs_[col]
+                order = sorted(samples, key=values.__getitem__)
+                result = _best_numeric_split(
+                    list(map(values.__getitem__, order)), list(map(ys_.__getitem__, order)), min_leaf
+                )
             if result is not None and result[0] < best_sse:
-                best_sse = result[0]
-                best = (col, result[1], None)
+                best_sse, best = result[0], (col, result[1])
         if best is None:
             return node
-        col, thr, cats = best
-        if cats is None:
-            values = xs_[col]
-            left_samples = [i for i in samples if values[i] <= thr]
-            right_samples = [i for i in samples if not values[i] <= thr]
-        else:
-            in_left, codes = cats.tolist(), codes_[col]
+        col, split = best  # a threshold, or a left flag per category code
+        feature[node] = col
+        if cat_cols[col]:
+            left_codes[node] = split
+            in_left, codes = split.tolist(), codes_[col]
             left_samples = [i for i in samples if in_left[codes[i]]]
             right_samples = [i for i in samples if not in_left[codes[i]]]
-        feature[node] = col
-        threshold[node] = thr
-        left_codes[node] = cats
-        left_child = build(left_samples)
-        right_child = build(right_samples)
-        children[node] = (left_child, right_child)
+        else:
+            threshold[node] = split
+            values = xs_[col]
+            left_samples = [i for i in samples if values[i] <= split]
+            right_samples = [i for i in samples if not values[i] <= split]
+        children[node] = (build(left_samples), build(right_samples))
         return node
 
     build(list(range(len(idx))))
-    draw.close()
     categorical = np.array([cats is not None for cats in left_codes])
     code_table = np.zeros((len(feature), n_codes), dtype=bool)
     if categorical.any():
