@@ -258,10 +258,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--cores", type=positive_int, default=os.cpu_count(),
         help="worker threads for external-wrapper runs (default: CPU count); "
-        "the in-process synthetic backend runs serially; the components, "
-        "validation scores and selected grouping do not depend on this "
-        "setting, the log's event order and the consumed CPU time's last "
-        "digits may",
+        "the in-process synthetic backend runs serially; no output depends "
+        "on this setting",
     )
     p.add_argument("--out-dir", default="out")
     p.set_defaults(func=cmd_construct)

@@ -22,14 +22,14 @@ candidate with the best training-set validation score wins. Repetitions
 and the per-subset configuration calls inside one repetition run
 concurrently on threads only when the backend runs solvers as child
 processes; with an in-process backend they run in order on the calling
-thread. The components, validation scores and selected grouping do not
-depend on the schedule, because every configuration call owns its seeds
-and the shared stores are order-invariant; on threads, the event order and
-the last digits of the ledger's sums may.
+thread. Concurrent calls share no mutable state: each owns its seeds, runs,
+charges and events, merged afterwards in serial order, so every output is
+that of ``--cores 1`` unless a run raises.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 import os
@@ -226,9 +226,9 @@ def _map_calls(fn: Callable[[int], object], n: int, backend: Backend, cores: int
 
     Threads can only overlap solver runs that happen in child processes
     (``ExternalBackend``), so only then do the calls go to a pool of up to
-    ``cores`` threads. An in-process backend runs Python under the
-    interpreter lock, where threads just contend; there the calls run in
-    order on the calling thread.
+    ``cores`` threads, each call with state of its own. An in-process
+    backend runs Python under the interpreter lock, where threads just
+    contend; there the calls run in order on the calling thread.
     """
     workers = min(n, cores)
     if workers <= 1 or not isinstance(backend, ExternalBackend):
@@ -243,7 +243,7 @@ class ConstructionFailed(RuntimeError):
 
 
 def _repetitions(
-    one_rep: Callable[[int], tuple],
+    one_rep: Callable[..., tuple],
     plan: BudgetPlan,
     scenario: Scenario,
     backend: Backend,
@@ -255,22 +255,39 @@ def _repetitions(
     """The outputs of the ``plan.r`` repetitions that did not raise, and the
     validation of their candidates, the first element of each output.
 
+    ``one_rep(rep, ledger, events)`` gets a ledger and event list of its
+    own, replayed into ``ledger`` and ``events`` in repetition order; an
+    event whose ``"ledger"`` is a count n gets the snapshot after n charges.
+
     A repetition raising one of ``PROGRAMMING_ERRORS`` fails the
     construction. Any other exception leaves the repetition out, with a
     warning and a ``repetition_failed`` event; if every repetition raised,
     the construction fails.
     """
+    rep_ledgers = [BudgetLedger() for _ in range(plan.r)]
+    rep_events: list[list[dict]] = [[] for _ in range(plan.r)]
 
     def guarded(rep: int):
         try:
-            return one_rep(rep)
+            return one_rep(rep, rep_ledgers[rep], rep_events[rep])
         except PROGRAMMING_ERRORS:
             raise
         except Exception as exc:  # excluded from validation below
             return exc
 
+    results = _map_calls(guarded, plan.r, backend, cores)
+    for rep_ledger, rep_log in zip(rep_ledgers, rep_events):
+        base, charges = ledger.n_runs, iter(rep_ledger.charges)
+        for event in rep_log:
+            if "ledger" in event:
+                while ledger.n_runs < base + event["ledger"]:
+                    ledger.charge(*next(charges))
+                event["ledger"] = ledger.snapshot()
+            events.append(event)
+        for charge in charges:
+            ledger.charge(*charge)
     outputs = []
-    for rep, out in enumerate(_map_calls(guarded, plan.r, backend, cores)):
+    for rep, out in enumerate(results):
         if isinstance(out, Exception):
             logger.warning("construction repetition %d failed and is excluded: %s", rep, out)
             events.append({"event": "repetition_failed", "repetition": rep, "error": str(out)})
@@ -343,7 +360,7 @@ def construct_grouped(
     # configuration calls (and so solver runs) are in flight at once
     subset_cores = max(1, cores // min(plan.r, cores))
 
-    def one_rep(rep: int):
+    def one_rep(rep: int, ledger: BudgetLedger, events: list[dict]):
         rep_seed = rep_seeds[rep]
         store = RunDataStore()
         if plan.method == "clustering":
@@ -353,15 +370,14 @@ def construct_grouped(
         incumbents: list[Configuration | None] = [None] * scenario.k
         reports: list[TransferReport] = []
         for phase_idx, phase_budget in enumerate(plan.phase_budgets, start=1):
+            runs: list[list] = [[] for _ in range(scenario.k)]
 
             def conf_subset(j: int) -> Configuration:
                 subset = [train_by_id[i] for i in grouping.subsets[j]]
 
                 def evaluate(config, instance, cap, run_seed):
-                    record = execute_run(
-                        backend, config, instance, cap, run_seed, store=store,
-                        ledger=ledger, phase=phase_idx,
-                    )
+                    record = execute_run(backend, config, instance, cap, run_seed)
+                    runs[j].append((record, config))
                     return record, record.runtime
 
                 return configure(
@@ -376,7 +392,12 @@ def construct_grouped(
                     settings=settings,
                 )
 
-            incumbents = _map_calls(conf_subset, scenario.k, backend, subset_cores)
+            try:
+                incumbents = _map_calls(conf_subset, scenario.k, backend, subset_cores)
+            finally:
+                for record, config in itertools.chain.from_iterable(runs):
+                    store.add(record, config)
+                    ledger.charge(record.runtime, phase=f"phase{phase_idx}")
             events.append(
                 {
                     "event": "phase_done",
@@ -384,7 +405,7 @@ def construct_grouped(
                     "phase": phase_idx,
                     "incumbents": [c.config_id for c in incumbents],
                     "subset_sizes": list(grouping.sizes()),
-                    "ledger": ledger.snapshot(),
+                    "ledger": ledger.n_runs,  # made a snapshot by ``_repetitions``
                 }
             )
             if phase_idx < len(plan.phase_budgets):
@@ -639,7 +660,7 @@ def construct_parhydra(
 
     for iteration in range(plan.iterations):
 
-        def one_block(rep: int):
+        def one_block(rep: int, ledger: BudgetLedger, _events: list[dict]):
             store = RunDataStore()
             evaluator = PortfolioEvaluator(
                 scenario.space,

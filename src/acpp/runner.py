@@ -29,7 +29,6 @@ import selectors
 import shlex
 import signal
 import subprocess
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import Protocol, Sequence
@@ -43,7 +42,6 @@ from .core import (
     clamp_run,
     portfolio_runtime,
 )
-from .rundata import RunDataStore
 from .space import Configuration, format_value
 
 GRACE_SECONDS = 1.0  # termination allowance added beyond the cutoff, never scored
@@ -63,64 +61,52 @@ class Backend(Protocol):
 
 @dataclass
 class BudgetLedger:
-    """Thread-safe accumulator of consumed configuration and validation time."""
+    """Accumulator of consumed configuration and validation time; ``charges``
+    holds every charge, ``(seconds, kind, phase)``, in the order made."""
 
     configuration_time: float = 0.0
     validation_time: float = 0.0
     n_runs: int = 0
     by_phase: dict[str, float] = field(default_factory=dict)
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False, compare=False)
+    charges: list[tuple[float, str, str | None]] = field(default_factory=list, repr=False)
 
     def charge(self, seconds: float, kind: str = "configuration", phase: str | None = None) -> None:
         if seconds < 0:
             raise ValueError("cannot charge negative time")
-        with self._lock:
-            if kind == "configuration":
-                self.configuration_time += seconds
-            elif kind == "validation":
-                self.validation_time += seconds
-            else:
-                raise ValueError(f"unknown budget kind {kind!r}")
-            self.n_runs += 1
-            if phase is not None:
-                self.by_phase[phase] = self.by_phase.get(phase, 0.0) + seconds
+        if kind == "configuration":
+            self.configuration_time += seconds
+        elif kind == "validation":
+            self.validation_time += seconds
+        else:
+            raise ValueError(f"unknown budget kind {kind!r}")
+        self.n_runs += 1
+        self.charges.append((seconds, kind, phase))
+        if phase is not None:
+            self.by_phase[phase] = self.by_phase.get(phase, 0.0) + seconds
 
     @property
     def total(self) -> float:
-        with self._lock:
-            return self.configuration_time + self.validation_time
+        return self.configuration_time + self.validation_time
 
     def snapshot(self) -> dict:
-        with self._lock:
-            return {
-                "configuration_time": self.configuration_time,
-                "validation_time": self.validation_time,
-                "total": self.configuration_time + self.validation_time,
-                "n_runs": self.n_runs,
-                "by_phase": dict(self.by_phase),
-            }
+        return {
+            "configuration_time": self.configuration_time,
+            "validation_time": self.validation_time,
+            "total": self.total,
+            "n_runs": self.n_runs,
+            "by_phase": dict(self.by_phase),
+        }
 
 
 def execute_run(
-    backend: Backend,
-    config: Configuration,
-    instance: Instance,
-    cutoff: float,
-    seed: int,
-    *,
-    store: RunDataStore | None = None,
-    ledger: BudgetLedger | None = None,
-    phase: int | None = None,
+    backend: Backend, config: Configuration, instance: Instance, cutoff: float, seed: int
 ) -> RunRecord:
-    """Run one configuration on one instance under the cutoff.
-
-    The returned record is appended to the store and its runtime charged to
-    the ledger as configuration time when those are given.
-    """
+    """The record of one configuration's run on one instance under the
+    cutoff; the caller stores and charges it."""
     if not 0 < cutoff < math.inf:
         raise ValueError(f"cutoff must be positive and finite, got {cutoff}")
     status, runtime = clamp_run(*backend.run(config, instance, cutoff, seed), cutoff)
-    record = RunRecord(
+    return RunRecord(
         config_id=config.config_id,
         instance_id=instance.id,
         seed=seed,
@@ -128,11 +114,6 @@ def execute_run(
         runtime=runtime,
         cutoff=cutoff,
     )
-    if store is not None:
-        store.add(record, config)
-    if ledger is not None:
-        ledger.charge(record.runtime, phase=None if phase is None else f"phase{phase}")
-    return record
 
 
 def evaluate_portfolio(

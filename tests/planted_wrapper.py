@@ -2,11 +2,14 @@
 scenario's ground truth, so that builds through ``ExternalBackend`` can be
 checked against the in-process ``SyntheticBackend``.
 
-    python3 -I -S planted_wrapper.py <synthetic.json> <instance> <seed> <cutoff> [--name value]...
+    python3 -I -S planted_wrapper.py [--sleep-on <instance> <strategy>]... \
+        <synthetic.json> <instance> <seed> <cutoff> [--name value]...
 
 It prints ``RESULT: SOLVED, <runtime>`` with the virtual runtime that
 ``SyntheticScenarioSpec.runtime`` gives, or ``RESULT: TIMEOUT, <cutoff>``
-when that runtime reaches the cutoff, at once. It uses the standard library
+when that runtime reaches the cutoff, at once. On an instance and strategy
+named by a ``--sleep-on`` pair it sleeps a minute instead, so the race
+reaches its deadline and kills it. It uses the standard library
 only, so that it starts fast under ``-I -S``; the formulas below mirror
 ``acpp.synthetic`` and ``acpp.space._config_id`` and must change with them.
 """
@@ -14,6 +17,7 @@ only, so that it starts fast under ``-I -S``; the formulas below mirror
 import hashlib
 import json
 import sys
+import time
 
 
 def hash_unit(*parts: str) -> float:
@@ -41,10 +45,16 @@ def planted_runtime(spec: dict, instance_id: str, assignments: list[tuple[str, s
 
 
 def main(argv: list[str]) -> None:
+    sleep_on = set()
+    while argv[0] == "--sleep-on":
+        sleep_on.add((argv[1], argv[2]))
+        argv = argv[3:]
     spec_file, instance_id, _seed, cutoff, *flags = argv
     with open(spec_file) as fh:
         spec = json.load(fh)
     assignments = [(flags[i][2:], flags[i + 1]) for i in range(0, len(flags), 2)]
+    if (instance_id, dict(assignments)["strategy"]) in sleep_on:
+        time.sleep(60)
     t = planted_runtime(spec, instance_id, assignments)
     if t >= float(cutoff):
         print(f"RESULT: TIMEOUT, {cutoff}")

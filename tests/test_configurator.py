@@ -42,7 +42,10 @@ def backend_runs(backend, store, ledger=None):
     and charged to the ledger at its runtime."""
 
     def evaluate(config, instance, cutoff, seed):
-        record = execute_run(backend, config, instance, cutoff, seed, store=store, ledger=ledger)
+        record = execute_run(backend, config, instance, cutoff, seed)
+        store.add(record, config)
+        if ledger is not None:
+            ledger.charge(record.runtime)
         return record, record.runtime
 
     return evaluate

@@ -402,8 +402,47 @@ class TestScheduleIndependence:
         assert len(run_threads) > 1
         for other in (in_process, threaded):
             assert other.portfolio.components == serial.portfolio.components
+            assert other.portfolio.consumed_cpu_time == serial.portfolio.consumed_cpu_time
             assert other.validation_scores == serial.validation_scores
             assert other.selected_grouping == serial.selected_grouping
+            assert other.events == serial.events
+            assert other.ledger.snapshot() == serial.ledger.snapshot()
+
+    def test_failed_repetition_replayed_in_serial_order(self, monkeypatch):
+        """Repetition 0 raises in its first transfer: its phase-1 charges and
+        event stay, the failure is logged after every replayed event, and
+        the threaded build equals the serial one."""
+        syn = tiny_synthetic(seed=18, families=2, configs=6, train=16, k=2)
+        plan = plan_budget("pcit", 2, 600.0, 300.0, 2, n=2)
+        failing_seed = derive_seed(derive_seed(5, "rep", 0), "transfer", 1)
+        transfer = constructors.transfer_instances
+
+        def flaky_transfer(*args, **kwargs):
+            if args[5] == failing_seed:
+                raise RuntimeError("transfer exploded")
+            return transfer(*args, **kwargs)
+
+        monkeypatch.setattr(constructors, "transfer_instances", flaky_transfer)
+        serial = construct_pcit(
+            syn.scenario, plan, 5, syn.backend(), settings=FAST,
+            transfer_forest=SMALL_TRANSFER, cores=1,
+        )
+        assert [(e["event"], e.get("repetition")) for e in serial.events] == [
+            ("phase_done", 0), ("phase_done", 1), ("transfer", 1), ("phase_done", 1),
+            ("repetition_failed", 0), ("validation", None),
+        ]
+        failed_time = serial.events[0]["ledger"]["configuration_time"]
+        stored = math.fsum(r.runtime for store in serial.stores for r in store.records())
+        assert failed_time > 0
+        assert math.isclose(serial.ledger.configuration_time, failed_time + stored, rel_tol=1e-12)
+        monkeypatch.setattr(constructors, "ExternalBackend", SyntheticBackend)
+        threaded = construct_pcit(
+            syn.scenario, plan, 5, syn.backend(), settings=FAST,
+            transfer_forest=SMALL_TRANSFER, cores=2,
+        )
+        assert threaded.events == serial.events
+        assert threaded.ledger.snapshot() == serial.ledger.snapshot()
+        assert threaded.portfolio == serial.portfolio
 
     @pytest.mark.parametrize("cores", [2, 3])
     def test_cores_bound_concurrent_solver_runs(self, cores, monkeypatch):

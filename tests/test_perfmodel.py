@@ -710,7 +710,7 @@ class TestColumnDraw:
     algorithm behind ``choice`` fails here first."""
 
     BOOTSTRAP_SIZES = (0, 1, 2, 3, 49, 128, 999, 1000)
-    CALLS = (0, 1, 2, 9, 150)  # 150 draws outrun the first block of words
+    CALLS = (4, 1, 2, 9, 150)  # 150 draws outrun the first block of words
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_matches_generator_choice(self, n):

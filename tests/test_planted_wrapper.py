@@ -4,7 +4,8 @@
 scenario's ``synthetic.json``, so ``ExternalBackend`` runs, races and builds
 can be checked against the in-process ``SyntheticBackend`` and the golden
 files. Wrappers answer at once, so no race waits for a deadline and every
-component's reported time is charged, as in process.
+component's reported time is charged, as in process, except on the pairs
+that ``--sleep-on`` names: there the race reaches its deadline and kills.
 """
 
 import json
@@ -14,10 +15,13 @@ from pathlib import Path
 
 import pytest
 
+from acpp.constructors import construct_pcit, plan_budget
+from acpp.core import RunStatus
 from acpp.runner import ExternalBackend
 from acpp.scenario import load_scenario
 from acpp.space import make_config
-from acpp.synthetic import SyntheticBackend, SyntheticScenarioSpec
+from acpp.synthetic import SyntheticBackend, SyntheticScenarioSpec, generate_synthetic_scenario
+from tests.test_constructors import FAST, SMALL_TRANSFER
 from tests.test_golden import BUDGET_ARGS, GOLDEN, build, make_scenario, make_tilt_scenario
 
 WRAPPER = Path(__file__).resolve().parent / "planted_wrapper.py"
@@ -90,7 +94,40 @@ def test_pcit_build_is_repeatable_and_matches_golden(pcit_builds):
 
 def test_pcit_build_on_two_cores_matches(pcit_builds):
     first, cores2 = pcit_builds / "first", pcit_builds / "cores2"
-    assert (cores2 / "report.json").read_bytes() == (first / "report.json").read_bytes()
-    built = [json.loads((d / "portfolio.json").read_text()) for d in (first, cores2)]
-    assert built[0]["components"] == built[1]["components"]
-    assert validation_scores(cores2) == validation_scores(first)
+    for name in ("portfolio.json", "construction_log.jsonl", "report.json"):
+        assert (cores2 / name).read_bytes() == (first / name).read_bytes(), name
+
+
+def test_killed_runs_charged_their_cap_on_any_cores(tmp_path):
+    """pcit through wrappers that sleep on an (instance, strategy) pair the
+    planted scenario solves: each race there is killed one grace period
+    after its cap and charged the cap, and the builds at one and two cores
+    are equal."""
+    syn = generate_synthetic_scenario(
+        n_families=2, n_configs=4, n_train=8, k=2, seed=0, cutoff=1.0
+    )
+    spec_file = tmp_path / "synthetic.json"
+    spec_file.write_text(syn.spec.to_json())
+    sleep_on = ("train0005", "s03")
+    argv = wrapper_argv(spec_file)
+    argv[-1:-1] = ["--sleep-on", *sleep_on]
+    plan = plan_budget("pcit", 2, 4.0, 0.5, 2, n=2)
+    serial, threaded = (
+        construct_pcit(
+            syn.scenario, plan, 0, ExternalBackend(argv), settings=FAST,
+            transfer_forest=SMALL_TRANSFER, cores=cores,
+        )
+        for cores in (1, 2)
+    )
+    configs = {k: c for store in serial.stores for k, c in store.known_configs().items()}
+    killed = [
+        (r, configs[r.config_id]) for store in serial.stores for r in store.records()
+        if (r.instance_id, configs[r.config_id]["strategy"]) == sleep_on
+    ]
+    assert killed
+    for record, config in killed:
+        assert syn.spec.runtime(config, record.instance_id) < record.cutoff
+        assert (record.status, record.runtime) == (RunStatus.TIMEOUT, record.cutoff)
+    assert threaded.portfolio == serial.portfolio
+    assert threaded.events == serial.events
+    assert threaded.ledger.snapshot() == serial.ledger.snapshot()

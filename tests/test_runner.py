@@ -7,7 +7,6 @@ import time
 import pytest
 
 from acpp.core import Instance, RunStatus, penalized_score
-from acpp.rundata import RunDataStore
 from acpp.runner import BudgetLedger, ExternalBackend, evaluate_portfolio, execute_run
 from acpp.space import make_config, parse_space
 from acpp.synthetic import SyntheticBackend, SyntheticScenarioSpec
@@ -38,6 +37,7 @@ class TestLedger:
         assert ledger.total == 7.0
         assert ledger.n_runs == 2
         assert ledger.by_phase == {"phase1": 5.0}
+        assert ledger.charges == [(5.0, "configuration", "phase1"), (2.0, "validation", None)]
 
     def test_negative_charge_rejected(self):
         with pytest.raises(ValueError):
@@ -62,14 +62,6 @@ class TestSyntheticExecution:
         record = execute_run(backend, config, Instance("i1"), 20.0, seed=0)
         assert record.status is RunStatus.TIMEOUT
         assert record.runtime == 20.0
-
-    def test_store_and_ledger_updated(self, space):
-        backend = SyntheticBackend(manual_spec())
-        config = make_config(space, {"strategy": "fast"})
-        store, ledger = RunDataStore(), BudgetLedger()
-        execute_run(backend, config, Instance("i1"), 20.0, 0, store=store, ledger=ledger)
-        assert len(store) == 1
-        assert ledger.configuration_time == pytest.approx(4.0)
 
     @pytest.mark.parametrize("cutoff", [math.nan, math.inf])
     def test_non_finite_cutoff_rejected_before_any_run(self, space, cutoff):
