@@ -23,8 +23,9 @@ and the per-subset configuration calls inside one repetition run
 concurrently on threads only when the backend runs solvers as child
 processes; with an in-process backend they run in order on the calling
 thread. Concurrent calls share no mutable state: each owns its seeds, runs,
-charges and events, merged afterwards in serial order, so every output is
-that of ``--cores 1`` unless a run raises.
+charges and events, merged afterwards in serial order, and every call runs
+to its end even when one beside it raised, so every output is that of
+``--cores 1``.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import itertools
 import logging
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -222,7 +223,8 @@ def _check_cores(cores: int | None) -> int:
 
 
 def _map_calls(fn: Callable[[int], object], n: int, backend: Backend, cores: int) -> list:
-    """``[fn(0), ..., fn(n - 1)]``.
+    """``[fn(0), ..., fn(n - 1)]``. Every call runs to its end, also when
+    another raised; then the first exception in call order is raised.
 
     Threads can only overlap solver runs that happen in child processes
     (``ExternalBackend``), so only then do the calls go to a pool of up to
@@ -232,9 +234,18 @@ def _map_calls(fn: Callable[[int], object], n: int, backend: Backend, cores: int
     """
     workers = min(n, cores)
     if workers <= 1 or not isinstance(backend, ExternalBackend):
-        return [fn(i) for i in range(n)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(n)))
+        futures = []
+        for i in range(n):
+            future: Future = Future()
+            try:
+                future.set_result(fn(i))
+            except Exception as exc:
+                future.set_exception(exc)
+            futures.append(future)
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            futures = [pool.submit(fn, i) for i in range(n)]
+    return [future.result() for future in futures]
 
 
 class ConstructionFailed(RuntimeError):
@@ -551,7 +562,9 @@ class PortfolioEvaluator:
     solver's time); the ledger receives every component's time; the budget
     cost handed back to the configurator is the component-time sum divided
     by the portfolio width, i.e. per-core time. On a cache hit the prefix is
-    charged as one block of ``prefix_width * min(prefix_time, cap)``.
+    charged as one block of ``prefix_width * min(prefix_time, cap)``. Each
+    configuration is decoded into its block of components once per
+    evaluator, that is once per configure call.
     """
 
     def __init__(
@@ -573,6 +586,7 @@ class PortfolioEvaluator:
         self.prefix = prefix
         self.prefix_cache = prefix_cache if prefix_cache is not None else {}
         self.scenario_cutoff = scenario_cutoff
+        self.blocks: dict[str, tuple[Configuration, ...]] = {}
 
     @property
     def width(self) -> int:
@@ -598,7 +612,10 @@ class PortfolioEvaluator:
     def run(
         self, config: Configuration, instance: Instance, cutoff: float, seed: int
     ) -> tuple[RunRecord, float]:
-        block = decode_product_config(self.base_space, config, self.block_size)
+        block = self.blocks.get(config.config_id)
+        if block is None:
+            block = decode_product_config(self.base_space, config, self.block_size)
+            self.blocks[config.config_id] = block
         outcomes: list[tuple[RunStatus, float]] = []
         cpu = 0.0
         if self.prefix:

@@ -5,7 +5,9 @@ construction, plus the generator behind the ``synth-gen`` command.
 Virtual runtimes come from a per-(family, strategy) cost table scaled by a
 per-instance hardness factor and a hash-derived multiplicative noise term,
 so identical (scenario, configuration, instance) triples always produce
-bit-identical results regardless of run seeds or scheduling.
+bit-identical results regardless of run seeds or scheduling. A backend
+computes each pair's runtime once: the test protocol's median-of-3 and the
+configurator's repeated runs of one pair are lookups after the first.
 """
 
 from __future__ import annotations
@@ -122,15 +124,28 @@ class SyntheticScenarioSpec:
 
 @dataclass
 class SyntheticBackend:
-    """Backend evaluating the planted runtime function; bit-deterministic."""
+    """Backend evaluating the planted runtime function; bit-deterministic.
+
+    The uncapped planted runtime of each (configuration id, instance id)
+    pair is computed once and kept for the backend's life, one float per
+    distinct pair, so a repeated run is a lookup; every call still applies
+    its own cutoff. Threads that share a backend can only write the value
+    the key already maps to, so concurrent runs need no lock.
+    """
 
     spec: SyntheticScenarioSpec
     label: str = "synthetic"
 
+    def __post_init__(self) -> None:
+        self._runtimes: dict[tuple[str, str], float] = {}
+
     def run(
         self, config: Configuration, instance: Instance, cutoff: float, seed: int
     ) -> tuple[RunStatus, float]:
-        t = self.spec.runtime(config, instance.id)
+        key = (config.config_id, instance.id)
+        t = self._runtimes.get(key)
+        if t is None:
+            t = self._runtimes[key] = self.spec.runtime(config, instance.id)
         if t >= cutoff:
             return RunStatus.TIMEOUT, cutoff
         return RunStatus.SOLVED, t

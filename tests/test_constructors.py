@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import logging
 import math
+import sys
 import threading
 import time
 
@@ -444,6 +445,47 @@ class TestScheduleIndependence:
         assert threaded.ledger.snapshot() == serial.ledger.snapshot()
         assert threaded.portfolio == serial.portfolio
 
+    @pytest.mark.parametrize("failing_run", [4, 80])
+    def test_failed_run_leaves_the_serial_build_on_threads(self, failing_run, monkeypatch):
+        """Runs with the seed of a serial build's n-th run raise: the 4th is in
+        repetition 0's first subset call, the 80th in repetition 1's. The calls
+        beside the raising one run to their end on both paths, so threaded
+        builds make the serial build's runs, charges and events. A short
+        switch interval makes the threads interleave finely."""
+        syn = tiny_synthetic(seed=18, families=2, configs=6, train=24, k=2)
+        plan = plan_budget("pcrs", 2, 300.0, 100.0, 2)
+        seeds = []
+        recording = syn.backend()
+        solve = recording.run
+        recording.run = lambda *args: seeds.append(args[3]) or solve(*args)
+        construct_pcrs(syn.scenario, plan, 5, recording, settings=FAST, cores=1)
+        failing_seed = seeds[failing_run - 1]
+
+        def build(cores):
+            backend = syn.backend()
+            solve = backend.run
+
+            def run(config, instance, cutoff, seed):
+                if seed == failing_seed:
+                    raise RuntimeError("solver crashed")
+                return solve(config, instance, cutoff, seed)
+
+            backend.run = run
+            return construct_pcrs(syn.scenario, plan, 5, backend, settings=FAST, cores=cores)
+
+        serial = build(1)
+        assert [e["event"] for e in serial.events].count("repetition_failed") == 1
+        monkeypatch.setattr(constructors, "ExternalBackend", SyntheticBackend)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for _ in range(5):
+                threaded = build(4)
+                assert threaded.events == serial.events
+                assert threaded.ledger.snapshot() == serial.ledger.snapshot()
+        finally:
+            sys.setswitchinterval(interval)
+
     @pytest.mark.parametrize("cores", [2, 3])
     def test_cores_bound_concurrent_solver_runs(self, cores, monkeypatch):
         syn = tiny_synthetic(seed=18, families=2, configs=6, train=16, k=2)
@@ -795,3 +837,44 @@ class TestPortfolioEvaluatorPrefix:
         assert ledger.configuration_time == 3 * 12.0
         records = list(evaluator.store.records())
         assert [r.instance_id for r in records] == ["i0", "i1", "i2"]
+
+    def test_each_configuration_decoded_once(self, monkeypatch):
+        """One evaluator decodes each distinct configuration once, and its
+        records and charges equal those of a fresh evaluator per run."""
+        from acpp.space import compose_product_space, make_config, make_product_config, parse_space
+
+        space = parse_space("s categorical {slow, mid, fast} [fast]\n")
+        product = compose_product_space(space, 2)
+        points = [
+            make_product_config(product, [make_config(space, {"s": s}) for s in pair])
+            for pair in [("slow", "fast"), ("mid", "mid"), ("fast", "slow")]
+        ]
+        # each point twice on each instance, at a cap of 5 and the cutoff
+        runs = [
+            (points[j % 3], Instance(f"i{j % 2}"), (5.0, 30.0)[j % 4 // 2], j) for j in range(12)
+        ]
+
+        def evaluate(fresh_per_run):
+            store, ledger, cache = RunDataStore(), BudgetLedger(), {}
+
+            def make():
+                return PortfolioEvaluator(
+                    space, 2, RecordingBackend(), store, scenario_cutoff=30.0, ledger=ledger,
+                    prefix=(make_config(space, {"s": "mid"}),), prefix_cache=cache,
+                )
+
+            evaluator = make()
+            outs = [(make() if fresh_per_run else evaluator).run(*run) for run in runs]
+            return outs, store.records(), ledger.charges
+
+        expected = evaluate(fresh_per_run=True)
+        decoded = []
+        decode = constructors.decode_product_config
+
+        def counting_decode(base_space, config, k):
+            decoded.append(config.config_id)
+            return decode(base_space, config, k)
+
+        monkeypatch.setattr(constructors, "decode_product_config", counting_decode)
+        assert evaluate(fresh_per_run=False) == expected
+        assert sorted(decoded) == sorted(point.config_id for point in points)

@@ -2,8 +2,11 @@ import json
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from acpp.core import RunStatus
+from acpp.evaluation import test_portfolio as run_test_protocol
 from acpp.space import default_config, enumerate_configs, make_config
 from acpp.synthetic import (
     SyntheticBackend,
@@ -123,3 +126,60 @@ class TestGenerator:
                 assert truth == pytest.approx(runtime)
             else:
                 assert truth == 10 * syn.spec.cutoff
+
+
+MEMO_SCENARIO = generate_synthetic_scenario(
+    n_families=2, n_configs=4, n_train=6, seed=3, tilt_effect=0.3
+)
+MEMO_CONFIGS = [
+    make_config(MEMO_SCENARIO.scenario.space, {"strategy": value, "tilt": tilt})
+    for value in ("s00", "s01", "s03")
+    for tilt in (0.2, 0.7)
+]
+MEMO_INSTANCES = (
+    MEMO_SCENARIO.scenario.train_instances[:3] + MEMO_SCENARIO.scenario.test_instances[:2]
+)
+
+
+class TestRuntimeMemo:
+    """A backend computes each (configuration, instance) runtime once; every
+    call still applies its own cutoff."""
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, len(MEMO_CONFIGS) - 1),
+                st.integers(0, len(MEMO_INSTANCES) - 1),
+                # cutoffs as multiples of the planted runtime: below it, at
+                # it and above it
+                st.sampled_from([0.5, 1.0, 2.0]) | st.floats(0.25, 4.0),
+                st.integers(0, 3),
+            ),
+            max_size=40,
+        )
+    )
+    def test_repeated_runs_match_a_fresh_backend(self, calls):
+        spec = MEMO_SCENARIO.spec
+        backend = SyntheticBackend(spec)
+        for c, i, scale, seed in calls:
+            config, instance = MEMO_CONFIGS[c], MEMO_INSTANCES[i]
+            cutoff = scale * spec.runtime(config, instance.id)
+            fresh = SyntheticBackend(spec).run(config, instance, cutoff, seed)
+            assert backend.run(config, instance, cutoff, seed) == fresh
+        assert len(backend._runtimes) == len({(c, i) for c, i, _, _ in calls})
+
+    def test_subclass_overriding_run_sees_every_run(self):
+        counted = []
+
+        class Counting(SyntheticBackend):
+            def run(self, config, instance, cutoff, seed):
+                counted.append((config.config_id, instance.id))
+                return SyntheticBackend.run(self, config, instance, cutoff, seed)
+
+        spec = MEMO_SCENARIO.spec
+        components = MEMO_CONFIGS[:2]
+        backend = Counting(spec)
+        run_test_protocol(backend, components, MEMO_INSTANCES, spec.cutoff, repetitions=3)
+        # median-of-3: every pair is run three times and computed once
+        assert len(counted) == 3 * len(components) * len(MEMO_INSTANCES)
+        assert len(backend._runtimes) == len(set(counted)) == len(components) * len(MEMO_INSTANCES)
